@@ -33,6 +33,9 @@ SOUNDNESS_TOL = 1e-9
 SQRT_CLAMP_FLOOR = -1e-12
 # a later tuple replaces the argmax only if strictly better than this margin
 ARGMAX_MARGIN = 1e-12
+# tuples scored per vectorized step; bounds the gathered arrays to
+# SEARCH_CHUNK * P * n floats whatever the tuple count
+SEARCH_CHUNK = 4096
 SIGN_VARIANT_DEFAULT = 1
 
 PermTuple = tuple[tuple[int, ...], ...]
@@ -119,13 +122,8 @@ def _safe_sqrt(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(arr < 0.0, 0.0, arr))
 
 
-def enumerate_tuples(n: int, big_n: int, cap: int = DEFAULT_TUPLE_CAP) -> Iterator[PermTuple]:
-    """All (n!)^(N-1) permutation tuples with the first fixed to identity.
-
-    Order is lexicographic and deterministic. Raises immediately if the
-    count exceeds ``cap`` so that an accidental huge search is an
-    explicit choice.
-    """
+def _tuple_count(n: int, big_n: int, cap: int) -> int:
+    """(n!)^(N-1), or a ValueError when that exceeds ``cap``."""
     if n < 1:
         raise ValueError(f"need n >= 1 Kraus operators, got {n}")
     if big_n < 2:
@@ -136,6 +134,17 @@ def enumerate_tuples(n: int, big_n: int, cap: int = DEFAULT_TUPLE_CAP) -> Iterat
             f"permutation search needs {count} tuples, above the cap of {cap}; "
             "raise the cap to run the exact maximization anyway"
         )
+    return count
+
+
+def enumerate_tuples(n: int, big_n: int, cap: int = DEFAULT_TUPLE_CAP) -> Iterator[PermTuple]:
+    """All (n!)^(N-1) permutation tuples with the first fixed to identity.
+
+    Order is lexicographic and deterministic. Raises immediately if the
+    count exceeds ``cap`` so that an accidental huge search is an
+    explicit choice.
+    """
+    _tuple_count(n, big_n, cap)
     identity = tuple(range(n))
     perms = list(itertools.permutations(range(n)))
     return ((identity,) + rest for rest in itertools.product(perms, repeat=big_n - 1))
@@ -172,71 +181,116 @@ def _pair_index(big_n: int) -> list[tuple[int, int]]:
     return [(t, s) for t in range(big_n) for s in range(t + 1, big_n)]
 
 
-def _tuple_terms(
-    cache: WeightedOperatorCache,
-    kraus: list[list[np.ndarray]],
-    perms: PermTuple,
-    need_plus: bool,
-    need_minus: bool,
-    need_col: bool,
-):
-    """Skew informations of permuted Kraus combinations for one tuple.
+_NEEDS_PLUS = frozenset({"lb1", "ob1", "lb3", "ob3"})
+_NEEDS_MINUS = frozenset({"lb2", "ob2", "lb3", "ob3"})
+_NEEDS_COL = frozenset({"lb2", "ob2"})
+_ALL_BOUNDS = ("lb1", "ob1", "lb2", "ob2", "lb3", "ob3")
 
-    Returns (plus, minus, col): plus/minus are (num_pairs, n) arrays of
-    K(E^t_i +/- E^s_i) over pairs t < s, col is the length-n array of
-    K(sum_t E^t_i).
+_libm_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _scalar_square(values: np.ndarray) -> np.ndarray:
+    """Elementwise ``v ** 2`` as a numpy float64 scalar computes it.
+
+    The scalar operator calls the C library's pow, which rounds
+    differently from v * v (what ``array ** 2`` computes) about once in a
+    thousand values; math.pow is that same pow.
     """
-    big_n = len(kraus)
-    n = len(kraus[0])
-    pairs = _pair_index(big_n)
-    plus = np.zeros((len(pairs), n)) if need_plus else None
-    minus = np.zeros((len(pairs), n)) if need_minus else None
-    if need_plus or need_minus:
-        for k, (t, s) in enumerate(pairs):
-            for i in range(n):
-                et = kraus[t][perms[t][i]]
-                es = kraus[s][perms[s][i]]
-                if need_plus:
-                    plus[k, i] = skew_with_cache(cache, et + es)
-                if need_minus:
-                    minus[k, i] = skew_with_cache(cache, et - es)
+    return _libm_pow(values, 2.0).astype(np.float64)
+
+
+@dataclass(frozen=True)
+class _KTables:
+    """Every distinct K value a search reads, each evaluated once.
+
+    For the k-th channel pair (t, s), pairs["plus"] holds K(E^t_a + E^s_b)
+    at flat position (k * n + a) * n + b, and pairs["minus"] the same for
+    E^t_a - E^s_b. col holds K(sum_t E^t_{i_t}) at the flat position of
+    (i_0, ..., i_{N-1}) in C order. Each operand is built with the
+    expression a per-tuple evaluation uses (``et + es``, ``et - es``,
+    ``sum()`` over the channels in order), so every entry is
+    bit-identical to the K value it stands for. Tables the requested
+    bounds do not read are left out.
+    """
+
+    big_n: int
+    n: int
+    pairs: dict[str, np.ndarray]
+    col: np.ndarray | None
+
+
+def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]], which) -> _KTables:
+    big_n, n = len(kraus), len(kraus[0])
+    wanted = set(which)
+    pair_ops = [(et, es) for t, s in _pair_index(big_n) for et in kraus[t] for es in kraus[s]]
+    pairs = {}
+    if _NEEDS_PLUS & wanted:
+        pairs["plus"] = np.array([skew_with_cache(cache, et + es) for et, es in pair_ops])
+    if _NEEDS_MINUS & wanted:
+        pairs["minus"] = np.array([skew_with_cache(cache, et - es) for et, es in pair_ops])
     col = None
-    if need_col:
-        col = np.zeros(n)
-        for i in range(n):
-            total = sum(kraus[t][perms[t][i]] for t in range(big_n))
-            col[i] = skew_with_cache(cache, total)
-    return plus, minus, col
+    if _NEEDS_COL & wanted:
+        col = np.array([
+            skew_with_cache(cache, sum(kraus[t][i] for t, i in enumerate(idx)))
+            for idx in itertools.product(range(n), repeat=big_n)
+        ])
+    return _KTables(big_n, n, pairs, col)
 
 
-def _lb1_value(plus: np.ndarray, big_n: int) -> float:
-    deficit = _safe_sqrt(plus.sum(axis=1)).sum() ** 2 / (big_n - 1) ** 2
-    return float(plus.sum() - deficit) / (big_n - 2)
+def _score_chunk(
+    tables: _KTables, idx: np.ndarray, which, variants: tuple[int, ...]
+) -> dict[str, np.ndarray]:
+    """Bound values of a chunk of tuples, in the order a search offers them.
 
-
-def _ob1_value(plus: np.ndarray, big_n: int) -> float:
-    deficit = (_safe_sqrt(plus).sum(axis=0) ** 2).sum() / (big_n - 1) ** 2
-    return float(plus.sum() - deficit) / (big_n - 2)
-
-
-def _lb2_value(col: np.ndarray, minus: np.ndarray, big_n: int) -> float:
-    spread = _safe_sqrt(minus.sum(axis=1)).sum() ** 2
-    return float(col.sum() / big_n + 2.0 * spread / (big_n**2 * (big_n - 1)))
-
-
-def _ob2_value(col: np.ndarray, minus: np.ndarray, big_n: int) -> float:
-    spread = (_safe_sqrt(minus).sum(axis=0) ** 2).sum()
-    return float(col.sum() / big_n + 2.0 * spread / (big_n**2 * (big_n - 1)))
-
-
-def _lb3_value(plain: np.ndarray, root: np.ndarray, big_n: int) -> float:
-    spread = _safe_sqrt(root.sum(axis=1)).sum() ** 2
-    return float(plain.sum() + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
-
-
-def _ob3_value(plain: np.ndarray, root: np.ndarray, big_n: int) -> float:
-    spread = (_safe_sqrt(root).sum(axis=0) ** 2).sum()
-    return float(plain.sum() + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
+    ``idx`` holds the Kraus indices, idx[c, t, i] = perms[t][i] of the c-th
+    tuple. lb1/ob1/lb2/ob2 come back with shape (C,), lb3/ob3 with shape
+    (C, len(variants)). The per-tuple formulas are evaluated in the same
+    operation order on gathered (C, P, n) arrays; these are C-contiguous so
+    that numpy reduces the pair and Kraus axes in the same order as it does
+    for one tuple's (P, n) array.
+    """
+    big_n, n = tables.big_n, tables.n
+    pair_ts = np.array(_pair_index(big_n), dtype=np.intp)
+    flat = np.ascontiguousarray(
+        np.arange(len(pair_ts))[:, None] * n * n
+        + idx[:, pair_ts[:, 0], :] * n
+        + idx[:, pair_ts[:, 1], :]
+    )
+    terms = {}  # "plus"/"minus" -> (total, lb spread, ob spread) per tuple
+    for name, table in tables.pairs.items():
+        k = np.ascontiguousarray(table[flat])
+        terms[name] = (
+            k.sum(axis=(1, 2)),
+            _scalar_square(_safe_sqrt(k.sum(axis=2)).sum(axis=1)),
+            (_safe_sqrt(k).sum(axis=1) ** 2).sum(axis=1),
+        )
+    out = {}
+    if "lb1" in which or "ob1" in which:
+        total, lb_spread, ob_spread = terms["plus"]
+        if "lb1" in which:
+            out["lb1"] = (total - lb_spread / (big_n - 1) ** 2) / (big_n - 2)
+        if "ob1" in which:
+            out["ob1"] = (total - ob_spread / (big_n - 1) ** 2) / (big_n - 2)
+    if "lb2" in which or "ob2" in which:
+        weights = n ** np.arange(big_n - 1, -1, -1)
+        col_idx = np.ascontiguousarray(np.einsum("ctn,t->cn", idx, weights))
+        mean = np.ascontiguousarray(tables.col[col_idx]).sum(axis=1) / big_n
+        _, lb_spread, ob_spread = terms["minus"]
+        if "lb2" in which:
+            out["lb2"] = mean + 2.0 * lb_spread / (big_n**2 * (big_n - 1))
+        if "ob2" in which:
+            out["ob2"] = mean + 2.0 * ob_spread / (big_n**2 * (big_n - 1))
+    for name, spread_at in (("lb3", 1), ("ob3", 2)):
+        if name in which:
+            by_variant = []
+            for x in variants:
+                plain, root = ("plus", "minus") if x == 0 else ("minus", "plus")
+                spread = terms[root][spread_at]
+                by_variant.append(
+                    (terms[plain][0] + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
+                )
+            out[name] = np.stack(by_variant, axis=1)
+    return out
 
 
 def tuple_bound_values(
@@ -252,23 +306,38 @@ def tuple_bound_values(
     """
     kraus = _padded_kraus(channels)
     big_n = len(kraus)
-    plus, minus, col = _tuple_terms(cache, kraus, perms, True, True, True)
+    which = _ALL_BOUNDS if big_n > 2 else _ALL_BOUNDS[2:]
+    tables = _k_tables(cache, kraus, which)
+    idx = np.array(perms, dtype=np.intp)[None]
+    scored = _score_chunk(tables, idx, which, (0, 1))
     values: dict[str, float | None] = {
-        "lb1": _lb1_value(plus, big_n) if big_n > 2 else None,
-        "ob1": _ob1_value(plus, big_n) if big_n > 2 else None,
-        "lb2": _lb2_value(col, minus, big_n),
-        "ob2": _ob2_value(col, minus, big_n),
-        "lb3_x0": _lb3_value(plus, minus, big_n),
-        "lb3_x1": _lb3_value(minus, plus, big_n),
-        "ob3_x0": _ob3_value(plus, minus, big_n),
-        "ob3_x1": _ob3_value(minus, plus, big_n),
+        name: float(scored[name][0]) if name in scored else None
+        for name in ("lb1", "ob1", "lb2", "ob2")
     }
+    for name in ("lb3", "ob3"):
+        for x in (0, 1):
+            values[f"{name}_x{x}"] = float(scored[name][0, x])
     return values
 
 
-_NEEDS_PLUS = frozenset({"lb1", "ob1", "lb3", "ob3"})
-_NEEDS_MINUS = frozenset({"lb2", "ob2", "lb3", "ob3"})
-_NEEDS_COL = frozenset({"lb2", "ob2"})
+def _offer_chunk(best: dict, name: str, values: np.ndarray, first: int) -> None:
+    """Carry the running argmax over values offered in order.
+
+    The rule is sequential: the first value offered is taken, and a later
+    one replaces the best only if it exceeds it by more than ARGMAX_MARGIN.
+    A replacement is the first value above the current best plus the
+    margin, which is where the running maximum first exceeds that level.
+    ``first`` is the offer position of values[0]; best[name] holds
+    (value, position).
+    """
+    cur = best.get(name) or (float(values[0]), first)
+    running = np.maximum.accumulate(values)
+    while True:
+        j = int(np.searchsorted(running, cur[0] + ARGMAX_MARGIN, side="right"))
+        if j == len(values):
+            break
+        cur = (float(values[j]), first + j)
+    best[name] = cur
 
 
 def _search_channel_bounds(
@@ -280,7 +349,12 @@ def _search_channel_bounds(
     sign_variant: int | None,
     cache: WeightedOperatorCache | None = None,
 ) -> dict[str, tuple[float, PermTuple, int | None]]:
-    """Maximize the requested bounds jointly over one tuple enumeration."""
+    """Maximize the requested bounds jointly over one tuple enumeration.
+
+    Tuples are scored in lexicographic order, SEARCH_CHUNK at a time, from
+    K tables built once; the result is bit-identical to evaluating every
+    tuple on its own, including which tuple wins a tie.
+    """
     kraus = _padded_kraus(channels)
     big_n = len(kraus)
     n = len(kraus[0])
@@ -290,36 +364,41 @@ def _search_channel_bounds(
     if sign_variant not in (None, 0, 1):
         raise ValueError(f"sign_variant must be 0, 1 or None, got {sign_variant}")
     _check_channel_dims(rho, channels)
+    count = _tuple_count(n, big_n, cap)
     if cache is None:
         cache = weighted_ops(rho, params)
-    need_plus = bool(_NEEDS_PLUS & set(which))
-    need_minus = bool(_NEEDS_MINUS & set(which))
-    need_col = bool(_NEEDS_COL & set(which))
     variants = (0, 1) if sign_variant is None else (sign_variant,)
-    best: dict[str, tuple[float, PermTuple, int | None]] = {}
+    tables = _k_tables(cache, kraus, which)
+    perm_list = list(itertools.permutations(range(n)))
+    perm_arr = np.array(perm_list, dtype=np.intp)
+    best: dict[str, tuple[float, int]] = {}
+    for lo in range(0, count, SEARCH_CHUNK):
+        rest = np.arange(lo, min(lo + SEARCH_CHUNK, count))
+        idx = np.empty((len(rest), big_n, n), dtype=np.intp)
+        idx[:, 0, :] = np.arange(n)
+        for t in range(big_n - 1, 0, -1):  # the last channel varies fastest
+            rest, digit = np.divmod(rest, len(perm_list))
+            idx[:, t, :] = perm_arr[digit]
+        for name, values in _score_chunk(tables, idx, which, variants).items():
+            per_tuple = values.size // len(idx)
+            _offer_chunk(best, name, values.ravel(), lo * per_tuple)
 
-    def offer(name: str, value: float, perms: PermTuple, x: int | None) -> None:
-        cur = best.get(name)
-        if cur is None or value > cur[0] + ARGMAX_MARGIN:
-            best[name] = (value, perms, x)
+    def decode(position: int, per_tuple: int) -> tuple[PermTuple, int]:
+        tuple_id, slot = divmod(position, per_tuple)
+        rest = []
+        for _ in range(big_n - 1):
+            tuple_id, digit = divmod(tuple_id, len(perm_list))
+            rest.append(perm_list[digit])
+        return (perm_list[0], *reversed(rest)), slot
 
-    for perms in enumerate_tuples(n, big_n, cap):
-        plus, minus, col = _tuple_terms(cache, kraus, perms, need_plus, need_minus, need_col)
-        if "lb1" in which:
-            offer("lb1", _lb1_value(plus, big_n), perms, None)
-        if "ob1" in which:
-            offer("ob1", _ob1_value(plus, big_n), perms, None)
-        if "lb2" in which:
-            offer("lb2", _lb2_value(col, minus, big_n), perms, None)
-        if "ob2" in which:
-            offer("ob2", _ob2_value(col, minus, big_n), perms, None)
-        for x in variants:
-            plain, root = (plus, minus) if x == 0 else (minus, plus)
-            if "lb3" in which:
-                offer("lb3", _lb3_value(plain, root, big_n), perms, x)
-            if "ob3" in which:
-                offer("ob3", _ob3_value(plain, root, big_n), perms, x)
-    return best
+    found = {}
+    for name, (value, position) in best.items():
+        if name in ("lb3", "ob3"):
+            perms, slot = decode(position, len(variants))
+            found[name] = (value, perms, variants[slot])
+        else:
+            found[name] = (value, decode(position, 1)[0], None)
+    return found
 
 
 def lb1(

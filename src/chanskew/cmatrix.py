@@ -18,6 +18,10 @@ JACOBI_SWEEP_CAP = 100
 JACOBI_REL_TOL = 1e-13
 
 
+class ConvergenceError(RuntimeError):
+    """The Jacobi eigensolver did not converge within JACOBI_SWEEP_CAP sweeps."""
+
+
 def as_cmatrix(entries) -> np.ndarray:
     """Coerce input to a square complex128 matrix with finite entries."""
     m = np.asarray(entries, dtype=np.complex128)
@@ -140,7 +144,7 @@ def eig_hermitian(x: np.ndarray) -> EigenDecomposition:
     else:
         converged = _offdiag_norm(a) <= target
     if not converged:
-        raise RuntimeError(
+        raise ConvergenceError(
             f"Jacobi eigensolver did not converge within {JACOBI_SWEEP_CAP} sweeps "
             f"(off-diagonal norm {_offdiag_norm(a):.3e}, target {target:.3e})"
         )

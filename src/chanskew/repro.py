@@ -142,7 +142,7 @@ def remixed_kraus(ch: KrausChannel, angle: float = math.pi / 4.0) -> KrausChanne
     F1 = cos(angle) E1 + sin(angle) E2, F2 = -sin(angle) E1 + cos(angle) E2
     realize the same channel. Since E -> [W, E] T is linear and the remix
     is an isometry, the summed skew information agrees between the two
-    sets; the selftest reports both values as an empirical check.
+    sets; the selftest asserts that it does.
     """
     if len(ch.ops) != 2:
         raise ValueError(f"remix needs exactly 2 Kraus operators, got {len(ch.ops)}")
@@ -251,8 +251,10 @@ def phase_damping_demo_values(
 ) -> tuple[float, float]:
     """Channel skew information for phase damping vs an equivalent Kraus remix.
 
-    Both Kraus sets realize the same map; the two values illustrate that
-    the quantity is tied to the Kraus set itself.
+    Both Kraus sets realize the same map, and the two values agree up to
+    rounding: the channel skew information sum_i K(E_i) does not change
+    under an orthogonal remix of the Kraus set (see ``remixed_kraus``).
+    The bounds, which pair Kraus operators across channels, can change.
     """
     rho = planar_bloch_state(theta, CHANNEL_BLOCH_RADIUS)
     ch = phase_damping(q)

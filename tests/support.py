@@ -1,14 +1,27 @@
 """Independent oracles and random generators shared by the test modules.
 
-Everything here is deliberately built on numpy.linalg (eigh, qr, norm)
-instead of the package's own Jacobi/cache machinery, so the comparisons
-in the tests are genuine dual-route checks.
+The skew-information oracles are deliberately built on numpy.linalg
+(eigh, qr, norm) instead of the package's own Jacobi/cache machinery, so
+the comparisons in the tests are genuine dual-route checks. The search
+oracle at the end evaluates every permutation tuple on its own, one K
+per operand, and is the reference the chunked table search must match
+bit for bit; it shares the package's K evaluator, since what it checks
+is the search.
 """
 
 import numpy as np
 
+from chanskew.bounds import (
+    ARGMAX_MARGIN,
+    BoundArgmax,
+    BoundReport,
+    _pair_index,
+    _padded_kraus,
+    _safe_sqrt,
+    enumerate_tuples,
+)
 from chanskew.quantum import DensityMatrix, KrausChannel, UnitaryOp
-from chanskew.skewinfo import SkewParams
+from chanskew.skewinfo import SkewParams, skew_with_cache, weighted_ops
 
 
 def eigh_power(mat: np.ndarray, p: float) -> np.ndarray:
@@ -131,3 +144,119 @@ def random_channel(rng, dim: int, n_ops: int, name: str = "random") -> KrausChan
     q, _ = np.linalg.qr(g)
     ops = tuple(q[k * dim : (k + 1) * dim, :] for k in range(n_ops))
     return KrausChannel(name, ops)
+
+
+# per-tuple search oracle
+
+
+def tuple_terms(cache, kraus, perms):
+    """Skew informations of permuted Kraus combinations for one tuple.
+
+    Returns (plus, minus, col): plus/minus are (num_pairs, n) arrays of
+    K(E^t_i +/- E^s_i) over pairs t < s, col is the length-n array of
+    K(sum_t E^t_i).
+    """
+    big_n = len(kraus)
+    n = len(kraus[0])
+    pairs = _pair_index(big_n)
+    plus = np.zeros((len(pairs), n))
+    minus = np.zeros((len(pairs), n))
+    for k, (t, s) in enumerate(pairs):
+        for i in range(n):
+            et = kraus[t][perms[t][i]]
+            es = kraus[s][perms[s][i]]
+            plus[k, i] = skew_with_cache(cache, et + es)
+            minus[k, i] = skew_with_cache(cache, et - es)
+    col = np.zeros(n)
+    for i in range(n):
+        total = sum(kraus[t][perms[t][i]] for t in range(big_n))
+        col[i] = skew_with_cache(cache, total)
+    return plus, minus, col
+
+
+def lb1_value(plus, big_n):
+    deficit = _safe_sqrt(plus.sum(axis=1)).sum() ** 2 / (big_n - 1) ** 2
+    return float(plus.sum() - deficit) / (big_n - 2)
+
+
+def ob1_value(plus, big_n):
+    deficit = (_safe_sqrt(plus).sum(axis=0) ** 2).sum() / (big_n - 1) ** 2
+    return float(plus.sum() - deficit) / (big_n - 2)
+
+
+def lb2_value(col, minus, big_n):
+    spread = _safe_sqrt(minus.sum(axis=1)).sum() ** 2
+    return float(col.sum() / big_n + 2.0 * spread / (big_n**2 * (big_n - 1)))
+
+
+def ob2_value(col, minus, big_n):
+    spread = (_safe_sqrt(minus).sum(axis=0) ** 2).sum()
+    return float(col.sum() / big_n + 2.0 * spread / (big_n**2 * (big_n - 1)))
+
+
+def lb3_value(plain, root, big_n):
+    spread = _safe_sqrt(root.sum(axis=1)).sum() ** 2
+    return float(plain.sum() + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
+
+
+def ob3_value(plain, root, big_n):
+    spread = (_safe_sqrt(root).sum(axis=0) ** 2).sum()
+    return float(plain.sum() + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
+
+
+def oracle_tuple_values(cache, channels, perms):
+    """tuple_bound_values, one formula call per bound and sign variant."""
+    kraus = _padded_kraus(channels)
+    big_n = len(kraus)
+    plus, minus, col = tuple_terms(cache, kraus, perms)
+    return {
+        "lb1": lb1_value(plus, big_n) if big_n > 2 else None,
+        "ob1": ob1_value(plus, big_n) if big_n > 2 else None,
+        "lb2": lb2_value(col, minus, big_n),
+        "ob2": ob2_value(col, minus, big_n),
+        "lb3_x0": lb3_value(plus, minus, big_n),
+        "lb3_x1": lb3_value(minus, plus, big_n),
+        "ob3_x0": ob3_value(plus, minus, big_n),
+        "ob3_x1": ob3_value(minus, plus, big_n),
+    }
+
+
+def oracle_channel_bound_report(rho, channels, params, sign_variant=1):
+    """channel_bound_report by evaluating every tuple in turn.
+
+    A later tuple (or sign variant) replaces the argmax only when it beats
+    the best so far by more than ARGMAX_MARGIN.
+    """
+    kraus = _padded_kraus(channels)
+    big_n = len(kraus)
+    cache = weighted_ops(rho, params)
+    total = sum(skew_with_cache(cache, op) for ops in kraus for op in ops)
+    variants = (0, 1) if sign_variant is None else (sign_variant,)
+    best = {}
+
+    def offer(name, value, perms, x):
+        cur = best.get(name)
+        if cur is None or value > cur[0] + ARGMAX_MARGIN:
+            best[name] = (value, perms, x)
+
+    for perms in enumerate_tuples(len(kraus[0]), big_n, cap=10**7):
+        plus, minus, col = tuple_terms(cache, kraus, perms)
+        if big_n > 2:
+            offer("lb1", lb1_value(plus, big_n), perms, None)
+            offer("ob1", ob1_value(plus, big_n), perms, None)
+        offer("lb2", lb2_value(col, minus, big_n), perms, None)
+        offer("ob2", ob2_value(col, minus, big_n), perms, None)
+        for x in variants:
+            plain, root = (plus, minus) if x == 0 else (minus, plus)
+            offer("lb3", lb3_value(plain, root, big_n), perms, x)
+            offer("ob3", ob3_value(plain, root, big_n), perms, x)
+    return BoundReport(
+        sum=total,
+        ob1=best["ob1"][0] if big_n > 2 else None,
+        ob2=best["ob2"][0],
+        ob3=best["ob3"][0],
+        lb1=best["lb1"][0] if big_n > 2 else None,
+        lb2=best["lb2"][0],
+        lb3=best["lb3"][0],
+        argmax={name: BoundArgmax(perms=v[1], x=v[2]) for name, v in best.items()},
+    )

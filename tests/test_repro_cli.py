@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from chanskew import cli, cmatrix
 from chanskew.cli import main
 from chanskew.repro import (
     Q02_REFERENCE,
@@ -218,6 +219,41 @@ class TestCli:
         out = capsys.readouterr().out
         assert "selftest: PASS" in out
         assert "representation-invariant" in out
+
+    def test_selftest_asserts_remix_invariance(self, monkeypatch, capsys):
+        assert main(["selftest", "--trials", "2"]) == 0
+        assert "selftest Kraus-remix invariance: ok" in capsys.readouterr().out
+        monkeypatch.setattr(cli, "phase_damping_demo_values", lambda: (0.25, 0.25 + 1e-9))
+        assert main(["selftest", "--trials", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "selftest Kraus-remix invariance: FAIL" in out
+        assert "selftest: FAIL" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--cap", "0"],
+            ["sweep", "--steps", "3", "--cap", "-5"],
+            ["sweep", "--steps", "0"],
+            ["unitary-sweep", "--steps", "1"],
+        ],
+    )
+    def test_nonpositive_cap_or_too_few_steps_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_bounds_nonpositive_cap_exits_2(self, tmp_path, capsys, cap):
+        paths = self._write_channels(tmp_path)
+        assert main(["bounds", "--bloch", "0,0.5,0", *paths, "--cap", cap]) == 2
+        assert "cap" in capsys.readouterr().err
+
+    def test_eigensolver_nonconvergence_exits_3(self, monkeypatch, capsys):
+        # zero sweeps cannot diagonalize the non-diagonal sweep states
+        monkeypatch.setattr(cmatrix, "JACOBI_SWEEP_CAP", 0)
+        assert main(["sweep", "--steps", "2"]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert issubclass(cmatrix.ConvergenceError, RuntimeError)
 
     def test_selftest_seed_changes_nothing_about_verdict(self, capsys):
         assert main(["selftest", "--trials", "5", "--seed", "123"]) == 0
