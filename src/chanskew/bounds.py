@@ -14,6 +14,10 @@ lb3/ob3 come in two sign variants: variant 0 uses Kraus sums in the
 plain term and differences under the square roots, variant 1 swaps the
 two. The reference comparison tables use variant 1, which is therefore
 the default; pass ``sign_variant=None`` to maximize over both.
+
+A unitary channel is the one-Kraus channel {U}, so the unitary bounds
+are lb1/lb2/lb3 of one-Kraus channels: the same search, over its single
+tuple, with lb3 maximized over both sign variants.
 """
 
 from __future__ import annotations
@@ -256,13 +260,17 @@ def _score_chunk(
         + idx[:, pair_ts[:, 0], :] * n
         + idx[:, pair_ts[:, 1], :]
     )
-    terms = {}  # "plus"/"minus" -> (total, lb spread, ob spread) per tuple
+    # "plus"/"minus" -> (total, lb spread, ob spread) per tuple; a family's
+    # spread is left out (None) when none of its bounds is requested
+    has_lb = not {"lb1", "lb2", "lb3"}.isdisjoint(which)
+    has_ob = not {"ob1", "ob2", "ob3"}.isdisjoint(which)
+    terms = {}
     for name, table in tables.pairs.items():
         k = np.ascontiguousarray(table[flat])
         terms[name] = (
             k.sum(axis=(1, 2)),
-            _scalar_square(_safe_sqrt(k.sum(axis=2)).sum(axis=1)),
-            (_safe_sqrt(k).sum(axis=1) ** 2).sum(axis=1),
+            _scalar_square(_safe_sqrt(k.sum(axis=2)).sum(axis=1)) if has_lb else None,
+            (_safe_sqrt(k).sum(axis=1) ** 2).sum(axis=1) if has_ob else None,
         )
     out = {}
     if "lb1" in which or "ob1" in which:
@@ -340,22 +348,20 @@ def _offer_chunk(best: dict, name: str, values: np.ndarray, first: int) -> None:
     best[name] = cur
 
 
-def _search_channel_bounds(
-    rho: DensityMatrix,
-    channels: Sequence[KrausChannel],
-    params: SkewParams,
+def _search_bounds(
+    cache: WeightedOperatorCache,
+    kraus: list[list[np.ndarray]],
     which: Sequence[str],
     cap: int,
     sign_variant: int | None,
-    cache: WeightedOperatorCache | None = None,
 ) -> dict[str, tuple[float, PermTuple, int | None]]:
     """Maximize the requested bounds jointly over one tuple enumeration.
 
+    ``kraus`` holds N equally long Kraus lists of the state's dimension.
     Tuples are scored in lexicographic order, SEARCH_CHUNK at a time, from
     K tables built once; the result is bit-identical to evaluating every
     tuple on its own, including which tuple wins a tie.
     """
-    kraus = _padded_kraus(channels)
     big_n = len(kraus)
     n = len(kraus[0])
     if big_n <= 2 and ("lb1" in which or "ob1" in which):
@@ -363,10 +369,7 @@ def _search_channel_bounds(
         raise ValueError(f"{name.upper()} requires N > 2 channels, got {big_n}")
     if sign_variant not in (None, 0, 1):
         raise ValueError(f"sign_variant must be 0, 1 or None, got {sign_variant}")
-    _check_channel_dims(rho, channels)
     count = _tuple_count(n, big_n, cap)
-    if cache is None:
-        cache = weighted_ops(rho, params)
     variants = (0, 1) if sign_variant is None else (sign_variant,)
     tables = _k_tables(cache, kraus, which)
     perm_list = list(itertools.permutations(range(n)))
@@ -399,6 +402,20 @@ def _search_channel_bounds(
         else:
             found[name] = (value, decode(position, 1)[0], None)
     return found
+
+
+def _search_channel_bounds(
+    rho: DensityMatrix,
+    channels: Sequence[KrausChannel],
+    params: SkewParams,
+    which: Sequence[str],
+    cap: int,
+    sign_variant: int | None,
+) -> dict[str, tuple[float, PermTuple, int | None]]:
+    """_search_bounds on validated, zero-padded channels."""
+    kraus = _padded_kraus(channels)
+    _check_channel_dims(rho, channels)
+    return _search_bounds(weighted_ops(rho, params), kraus, which, cap, sign_variant)
 
 
 def lb1(
@@ -489,7 +506,7 @@ def channel_bound_report(
     which = ["lb2", "ob2", "lb3", "ob3"]
     if big_n > 2:
         which += ["lb1", "ob1"]
-    found = _search_channel_bounds(rho, channels, params, which, cap, sign_variant, cache)
+    found = _search_bounds(cache, kraus, which, cap, sign_variant)
     argmax = {
         name: BoundArgmax(perms=found[name][1], x=found[name][2]) for name in found
     }
@@ -505,14 +522,7 @@ def channel_bound_report(
     )
 
 
-# --- unitary channels (single Kraus operator, no permutation search) --------
-
-
-def _unitary_terms(cache: WeightedOperatorCache, mats: list[np.ndarray]):
-    pairs = _pair_index(len(mats))
-    kp = np.array([skew_with_cache(cache, mats[t] + mats[s]) for t, s in pairs])
-    km = np.array([skew_with_cache(cache, mats[t] - mats[s]) for t, s in pairs])
-    return kp, km
+# --- unitary channels: one-Kraus channels, so a single tuple -----------------
 
 
 def _unwrap_unitaries(rho: DensityMatrix, unitaries: Sequence[UnitaryOp]) -> list[np.ndarray]:
@@ -524,43 +534,25 @@ def _unwrap_unitaries(rho: DensityMatrix, unitaries: Sequence[UnitaryOp]) -> lis
     return [u.mat for u in unitaries]
 
 
-def _unitary_lb1_value(kp: np.ndarray, big_n: int) -> float:
-    return float(kp.sum() - _safe_sqrt(kp).sum() ** 2 / (big_n - 1) ** 2) / (big_n - 2)
-
-
-def _unitary_lb2_value(cache, mats, km: np.ndarray, big_n: int) -> float:
-    mean_term = skew_with_cache(cache, sum(mats)) / big_n
-    return float(mean_term + 2.0 * _safe_sqrt(km).sum() ** 2 / (big_n**2 * (big_n - 1)))
-
-
-def _unitary_lb3_value(kp: np.ndarray, km: np.ndarray, big_n: int) -> tuple[float, int]:
-    best_value, best_x = -math.inf, 0
-    for x, (plain, root) in enumerate([(kp, km), (km, kp)]):
-        value = float(
-            plain.sum() + 2.0 * _safe_sqrt(root).sum() ** 2 / (big_n * (big_n - 1))
-        ) / (2.0 * (big_n - 1))
-        if value > best_value + ARGMAX_MARGIN:
-            best_value, best_x = value, x
-    return best_value, best_x
+def _search_unitary_bounds(
+    cache: WeightedOperatorCache, mats: list[np.ndarray], which: Sequence[str]
+) -> dict[str, tuple[float, PermTuple, int | None]]:
+    """The channel bounds of the one-Kraus channels U_t, both lb3 variants."""
+    return _search_bounds(cache, [[m] for m in mats], which, 1, None)
 
 
 def unitary_lb1(rho: DensityMatrix, unitaries: Sequence[UnitaryOp], params: SkewParams) -> float:
     """Pairwise-sum bound for unitary channels; N > 2."""
     mats = _unwrap_unitaries(rho, unitaries)
-    big_n = len(mats)
-    if big_n <= 2:
-        raise ValueError(f"LB1 requires N > 2 unitaries, got {big_n}")
-    cache = weighted_ops(rho, params)
-    kp, _ = _unitary_terms(cache, mats)
-    return _unitary_lb1_value(kp, big_n)
+    if len(mats) <= 2:
+        raise ValueError(f"LB1 requires N > 2 unitaries, got {len(mats)}")
+    return _search_unitary_bounds(weighted_ops(rho, params), mats, ("lb1",))["lb1"][0]
 
 
 def unitary_lb2(rho: DensityMatrix, unitaries: Sequence[UnitaryOp], params: SkewParams) -> float:
     """Mean bound K(sum U_t)/N plus the pairwise-difference spread term."""
     mats = _unwrap_unitaries(rho, unitaries)
-    cache = weighted_ops(rho, params)
-    _, km = _unitary_terms(cache, mats)
-    return _unitary_lb2_value(cache, mats, km, len(mats))
+    return _search_unitary_bounds(weighted_ops(rho, params), mats, ("lb2",))["lb2"][0]
 
 
 def unitary_lb3(
@@ -568,9 +560,8 @@ def unitary_lb3(
 ) -> tuple[float, int]:
     """Mixed sum/difference bound, maximized over the two sign variants."""
     mats = _unwrap_unitaries(rho, unitaries)
-    cache = weighted_ops(rho, params)
-    kp, km = _unitary_terms(cache, mats)
-    return _unitary_lb3_value(kp, km, len(mats))
+    value, _, x = _search_unitary_bounds(weighted_ops(rho, params), mats, ("lb3",))["lb3"]
+    return value, x
 
 
 def unitary_bound_report(
@@ -578,17 +569,16 @@ def unitary_bound_report(
 ) -> UnitaryBoundReport:
     """Exact sum plus the three unitary bounds, from one shared cache."""
     mats = _unwrap_unitaries(rho, unitaries)
-    big_n = len(mats)
     cache = weighted_ops(rho, params)
     total = sum(skew_with_cache(cache, m) for m in mats)
-    kp, km = _unitary_terms(cache, mats)
-    lb3_value, lb3_x = _unitary_lb3_value(kp, km, big_n)
+    which = ("lb1", "lb2", "lb3") if len(mats) > 2 else ("lb2", "lb3")
+    found = _search_unitary_bounds(cache, mats, which)
     return UnitaryBoundReport(
         sum=total,
-        lb1=_unitary_lb1_value(kp, big_n) if big_n > 2 else None,
-        lb2=_unitary_lb2_value(cache, mats, km, big_n),
-        lb3=lb3_value,
-        argmax_x=lb3_x,
+        lb1=found["lb1"][0] if "lb1" in found else None,
+        lb2=found["lb2"][0],
+        lb3=found["lb3"][0],
+        argmax_x=found["lb3"][2],
     )
 
 

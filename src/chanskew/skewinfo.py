@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import clamp_psd_eigenvalues, eig_hermitian
+from .cmatrix import clamp_psd_eigenvalues, eig_hermitian, spectral_power
 from .quantum import DensityMatrix, KrausChannel, UnitaryOp
 
 
@@ -59,21 +59,15 @@ class WeightedOperatorCache:
         return self.w.shape[0]
 
 
-def _power_from_spectrum(lams: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
-    if p == 0.0:
-        return np.eye(len(lams), dtype=np.complex128)
-    return (vecs * lams**p) @ vecs.conj().T
-
-
 def weighted_ops(rho: DensityMatrix, params: SkewParams) -> WeightedOperatorCache:
     """Compute W = (1-gamma) rho^alpha + gamma rho^beta and the tail power."""
     dec = eig_hermitian(rho.mat)
     lams = clamp_psd_eigenvalues(dec.eigenvalues)
-    ra = _power_from_spectrum(lams, dec.eigenvectors, params.alpha)
-    rb = _power_from_spectrum(lams, dec.eigenvectors, params.beta)
+    ra = spectral_power(lams, dec.eigenvectors, params.alpha)
+    rb = spectral_power(lams, dec.eigenvectors, params.beta)
     w = (1.0 - params.gamma) * ra + params.gamma * rb
     tail_exp = (1.0 - params.alpha - params.beta) / 2.0
-    tail = _power_from_spectrum(lams, dec.eigenvectors, tail_exp)
+    tail = spectral_power(lams, dec.eigenvectors, tail_exp)
     return WeightedOperatorCache(w=w, tail=tail, tail_is_identity=tail_exp == 0.0)
 
 

@@ -1,12 +1,16 @@
 """Independent oracles and random generators shared by the test modules.
 
 The skew-information oracles are deliberately built on numpy.linalg
-(eigh, qr, norm) instead of the package's own Jacobi/cache machinery, so
+(eigh, qr, norm) directly instead of the package's cache machinery, so
 the comparisons in the tests are genuine dual-route checks. The search
 oracle at the end evaluates every permutation tuple on its own, one K
 per operand, and is the reference the chunked table search must match
-bit for bit; it shares the package's K evaluator, since what it checks
-is the search.
+bit for bit; the unitary oracle evaluates the three unitary bounds from
+their own formulas, and the search run on one-Kraus channels must match
+it bit for bit. Both share the package's K evaluator, since what they
+check is the search. The seeded qubit-state, parameter and unitary
+generators are the package's own (``chanskew.repro``), which ``selftest``
+uses.
 """
 
 import numpy as np
@@ -20,8 +24,10 @@ from chanskew.bounds import (
     _safe_sqrt,
     enumerate_tuples,
 )
-from chanskew.quantum import DensityMatrix, KrausChannel, UnitaryOp
-from chanskew.skewinfo import SkewParams, skew_with_cache, weighted_ops
+from chanskew.bounds import UnitaryBoundReport
+from chanskew.quantum import DensityMatrix, KrausChannel
+from chanskew.repro import random_params, random_qubit_state, random_unitary  # noqa: F401
+from chanskew.skewinfo import skew_with_cache, weighted_ops
 
 
 def eigh_power(mat: np.ndarray, p: float) -> np.ndarray:
@@ -117,25 +123,6 @@ def random_density(rng, dim: int) -> DensityMatrix:
     g = random_matrix(rng, dim)
     rho = g @ g.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
-
-
-def random_qubit_state(rng) -> DensityMatrix:
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    from chanskew.quantum import bloch_state
-
-    return bloch_state(0.95 * rng.random() * direction)
-
-
-def random_params(rng) -> SkewParams:
-    alpha = rng.random()
-    return SkewParams(alpha=alpha, beta=rng.random() * (1.0 - alpha), gamma=rng.random())
-
-
-def random_unitary(rng, dim: int = 2) -> UnitaryOp:
-    q, r = np.linalg.qr(random_matrix(rng, dim))
-    d = np.diag(r)
-    return UnitaryOp(q * (d / np.abs(d)))
 
 
 def random_channel(rng, dim: int, n_ops: int, name: str = "random") -> KrausChannel:
@@ -259,4 +246,52 @@ def oracle_channel_bound_report(rho, channels, params, sign_variant=1):
         lb2=best["lb2"][0],
         lb3=best["lb3"][0],
         argmax={name: BoundArgmax(perms=v[1], x=v[2]) for name, v in best.items()},
+    )
+
+
+# unitary oracle: the unitary bounds from their own formulas
+
+
+def unitary_terms(cache, mats):
+    """(plus, minus): K(U_t + U_s) and K(U_t - U_s) over pairs t < s."""
+    pairs = _pair_index(len(mats))
+    kp = np.array([skew_with_cache(cache, mats[t] + mats[s]) for t, s in pairs])
+    km = np.array([skew_with_cache(cache, mats[t] - mats[s]) for t, s in pairs])
+    return kp, km
+
+
+def unitary_lb1_value(kp, big_n):
+    return float(kp.sum() - _safe_sqrt(kp).sum() ** 2 / (big_n - 1) ** 2) / (big_n - 2)
+
+
+def unitary_lb2_value(cache, mats, km, big_n):
+    mean_term = skew_with_cache(cache, sum(mats)) / big_n
+    return float(mean_term + 2.0 * _safe_sqrt(km).sum() ** 2 / (big_n**2 * (big_n - 1)))
+
+
+def unitary_lb3_value(kp, km, big_n):
+    """Best of the two sign variants; variant 1 must beat 0 by ARGMAX_MARGIN."""
+    best_value, best_x = -np.inf, 0
+    for x, (plain, root) in enumerate([(kp, km), (km, kp)]):
+        value = float(
+            plain.sum() + 2.0 * _safe_sqrt(root).sum() ** 2 / (big_n * (big_n - 1))
+        ) / (2.0 * (big_n - 1))
+        if value > best_value + ARGMAX_MARGIN:
+            best_value, best_x = value, x
+    return best_value, best_x
+
+
+def oracle_unitary_bound_report(rho, unitaries, params):
+    """unitary_bound_report from the formulas above."""
+    mats = [u.mat for u in unitaries]
+    big_n = len(mats)
+    cache = weighted_ops(rho, params)
+    kp, km = unitary_terms(cache, mats)
+    lb3, x = unitary_lb3_value(kp, km, big_n)
+    return UnitaryBoundReport(
+        sum=sum(skew_with_cache(cache, m) for m in mats),
+        lb1=unitary_lb1_value(kp, big_n) if big_n > 2 else None,
+        lb2=unitary_lb2_value(cache, mats, km, big_n),
+        lb3=lb3,
+        argmax_x=x,
     )

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from chanskew import cli, cmatrix
@@ -249,8 +250,10 @@ class TestCli:
         assert "cap" in capsys.readouterr().err
 
     def test_eigensolver_nonconvergence_exits_3(self, monkeypatch, capsys):
-        # zero sweeps cannot diagonalize the non-diagonal sweep states
-        monkeypatch.setattr(cmatrix, "JACOBI_SWEEP_CAP", 0)
+        def eigh_fails(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_fails)
         assert main(["sweep", "--steps", "2"]) == 3
         assert "did not converge" in capsys.readouterr().err
         assert issubclass(cmatrix.ConvergenceError, RuntimeError)

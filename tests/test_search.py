@@ -1,7 +1,8 @@
-"""The chunked table search against the per-tuple oracle in support.py.
+"""The chunked table search against the oracles in support.py.
 
 Equality here is exact (==): the search must reproduce, bit for bit, the
-values and argmax tuples of evaluating every tuple on its own.
+values and argmax tuples of evaluating every tuple on its own, and, run on
+one-Kraus channels, the unitary bounds computed from their own formulas.
 """
 
 import itertools
@@ -11,14 +12,24 @@ import numpy as np
 import pytest
 
 from chanskew import bounds
-from chanskew.bounds import channel_bound_report, enumerate_tuples, tuple_bound_values
+from chanskew.bounds import (
+    channel_bound_report,
+    enumerate_tuples,
+    tuple_bound_values,
+    unitary_bound_report,
+    unitary_lb1,
+    unitary_lb2,
+    unitary_lb3,
+)
 from chanskew.quantum import KrausChannel
+from chanskew.repro import DEFAULT_PARAMS, eighth_turn_unitaries, planar_bloch_state
 from chanskew.skewinfo import skew_info_channel, weighted_ops
 
 import support
 from support import (
     oracle_channel_bound_report,
     oracle_tuple_values,
+    oracle_unitary_bound_report,
     random_channel,
     random_density,
     random_params,
@@ -164,3 +175,25 @@ def test_two_channel_identities(rng, dim):
             values = tuple_bound_values(cache, channels, perms)
             for name in names:
                 assert values[name] == pytest.approx(total, abs=1e-12), (name, perms)
+
+
+def unitary_configs(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.choice([2, 3, 4, 16]))
+        unitaries = [random_unitary(rng, dim) for _ in range(int(rng.integers(2, 6)))]
+        yield random_density(rng, dim), unitaries, random_params(rng)
+    for printed_u3 in (False, True):
+        for theta in np.linspace(0.0, math.pi, 7):
+            rho = planar_bloch_state(theta, math.sqrt(2.0) / 2.0)
+            yield rho, eighth_turn_unitaries(printed_u3), DEFAULT_PARAMS
+
+
+def test_unitary_bounds_are_bit_identical_to_formula_oracle():
+    for rho, unitaries, params in unitary_configs(seed=14, count=60):
+        want = oracle_unitary_bound_report(rho, unitaries, params)
+        assert unitary_bound_report(rho, unitaries, params) == want
+        if len(unitaries) > 2:
+            assert unitary_lb1(rho, unitaries, params) == want.lb1
+        assert unitary_lb2(rho, unitaries, params) == want.lb2
+        assert unitary_lb3(rho, unitaries, params) == (want.lb3, want.argmax_x)

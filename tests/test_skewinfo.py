@@ -280,3 +280,27 @@ class TestChannelsAndUnitaries:
         for _ in range(10):
             e = random_matrix(rng, 2)
             assert skew_with_cache(cache, e) == skew_info_op(rho, e, p)
+
+
+class TestSingularStates:
+    # the convention rho^0 = I is not the limit of rho^p as p -> 0+: on a
+    # singular state that limit is the projector onto the support, so K
+    # jumps where the tail exponent (1 - alpha - beta) / 2 reaches zero
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_pure_state_powers_are_exact_projectors(self, rng, dim):
+        for _ in range(100):
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            psi /= np.linalg.norm(psi)
+            proj = np.outer(psi, psi.conj())
+            rho = DensityMatrix(proj)
+            e = random_matrix(rng, dim)
+            comm = proj @ e - e @ proj  # W = P for alpha, beta > 0
+            alpha, gamma = rng.choice([0.125, 0.25, 0.5, 0.625]), rng.random()
+            small_tail = SkewParams(alpha, 1.0 - alpha - 2e-9, gamma)
+            zero_tail = SkewParams(alpha, 1.0 - alpha, gamma)
+            assert skew_info_op(rho, e, small_tail) == pytest.approx(
+                0.5 * np.linalg.norm(comm @ proj) ** 2, abs=1e-12
+            )
+            assert skew_info_op(rho, e, zero_tail) == pytest.approx(
+                0.5 * np.linalg.norm(comm) ** 2, abs=1e-12
+            )
