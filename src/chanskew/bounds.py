@@ -18,6 +18,11 @@ the default; pass ``sign_variant=None`` to maximize over both.
 A unitary channel is the one-Kraus channel {U}, so the unitary bounds
 are lb1/lb2/lb3 of one-Kraus channels: the same search, over its single
 tuple, with lb3 maximized over both sign variants.
+
+Every search scores all the bounds N allows. lb1..ob3 and
+unitary_lb1/2/3 read one bound off channel_bound_report or
+unitary_bound_report, so each costs a full report. A state is decomposed
+once, when DensityMatrix validates it; every report reuses that spectrum.
 """
 
 from __future__ import annotations
@@ -173,22 +178,9 @@ def _padded_kraus(channels: Sequence[KrausChannel]) -> list[list[np.ndarray]]:
     return [list(ch.ops) + [zero] * (n - len(ch.ops)) for ch in channels]
 
 
-def _check_channel_dims(rho: DensityMatrix, channels: Sequence[KrausChannel]) -> None:
-    for ch in channels:
-        if ch.dim != rho.dim:
-            raise ValueError(
-                f"channel '{ch.name}' dim {ch.dim} does not match state dim {rho.dim}"
-            )
-
-
 def _pair_index(big_n: int) -> list[tuple[int, int]]:
     return [(t, s) for t in range(big_n) for s in range(t + 1, big_n)]
 
-
-_NEEDS_PLUS = frozenset({"lb1", "ob1", "lb3", "ob3"})
-_NEEDS_MINUS = frozenset({"lb2", "ob2", "lb3", "ob3"})
-_NEEDS_COL = frozenset({"lb2", "ob2"})
-_ALL_BOUNDS = ("lb1", "ob1", "lb2", "ob2", "lb3", "ob3")
 
 _libm_pow = np.frompyfunc(math.pow, 2, 1)
 
@@ -207,97 +199,73 @@ def _scalar_square(values: np.ndarray) -> np.ndarray:
 class _KTables:
     """Every distinct K value a search reads, each evaluated once.
 
-    For the k-th channel pair (t, s), pairs["plus"] holds K(E^t_a + E^s_b)
-    at flat position (k * n + a) * n + b, and pairs["minus"] the same for
-    E^t_a - E^s_b. col holds K(sum_t E^t_{i_t}) at the flat position of
-    (i_0, ..., i_{N-1}) in C order. Each operand is built with the
-    expression a per-tuple evaluation uses (``et + es``, ``et - es``,
-    ``sum()`` over the channels in order), so every entry is
-    bit-identical to the K value it stands for. Tables the requested
-    bounds do not read are left out.
+    For the k-th channel pair (t, s), plus holds K(E^t_a + E^s_b) at flat
+    position (k * n + a) * n + b, and minus the same for E^t_a - E^s_b.
+    col holds K(sum_t E^t_{i_t}) at the flat position of (i_0, ..., i_{N-1})
+    in C order. Each operand is built with the expression a per-tuple
+    evaluation uses (``et + es``, ``et - es``, ``sum()`` over the channels
+    in order), so every entry is bit-identical to the K value it stands for.
     """
 
-    big_n: int
-    n: int
-    pairs: dict[str, np.ndarray]
-    col: np.ndarray | None
+    plus: np.ndarray
+    minus: np.ndarray
+    col: np.ndarray
 
 
-def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]], which) -> _KTables:
+def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _KTables:
     big_n, n = len(kraus), len(kraus[0])
-    wanted = set(which)
     pair_ops = [(et, es) for t, s in _pair_index(big_n) for et in kraus[t] for es in kraus[s]]
-    pairs = {}
-    if _NEEDS_PLUS & wanted:
-        pairs["plus"] = np.array([skew_with_cache(cache, et + es) for et, es in pair_ops])
-    if _NEEDS_MINUS & wanted:
-        pairs["minus"] = np.array([skew_with_cache(cache, et - es) for et, es in pair_ops])
-    col = None
-    if _NEEDS_COL & wanted:
-        col = np.array([
+    return _KTables(
+        plus=np.array([skew_with_cache(cache, et + es) for et, es in pair_ops]),
+        minus=np.array([skew_with_cache(cache, et - es) for et, es in pair_ops]),
+        col=np.array([
             skew_with_cache(cache, sum(kraus[t][i] for t, i in enumerate(idx)))
             for idx in itertools.product(range(n), repeat=big_n)
-        ])
-    return _KTables(big_n, n, pairs, col)
+        ]),
+    )
 
 
 def _score_chunk(
-    tables: _KTables, idx: np.ndarray, which, variants: tuple[int, ...]
+    tables: _KTables, idx: np.ndarray, variants: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
     """Bound values of a chunk of tuples, in the order a search offers them.
 
     ``idx`` holds the Kraus indices, idx[c, t, i] = perms[t][i] of the c-th
-    tuple. lb1/ob1/lb2/ob2 come back with shape (C,), lb3/ob3 with shape
-    (C, len(variants)). The per-tuple formulas are evaluated in the same
-    operation order on gathered (C, P, n) arrays; these are C-contiguous so
-    that numpy reduces the pair and Kraus axes in the same order as it does
-    for one tuple's (P, n) array.
+    tuple. Every bound N allows is scored: lb1/ob1 (N > 2 only), lb2/ob2
+    with shape (C,), lb3/ob3 with shape (C, len(variants)). The per-tuple
+    formulas are evaluated in the same operation order on the gathered
+    (2, C, P, n) array of plus and minus terms; it is C-contiguous so that
+    numpy reduces the pair and Kraus axes in the same order as it does for
+    one tuple's (P, n) array.
     """
-    big_n, n = tables.big_n, tables.n
+    big_n, n = idx.shape[1:]
     pair_ts = np.array(_pair_index(big_n), dtype=np.intp)
     flat = np.ascontiguousarray(
         np.arange(len(pair_ts))[:, None] * n * n
         + idx[:, pair_ts[:, 0], :] * n
         + idx[:, pair_ts[:, 1], :]
     )
-    # "plus"/"minus" -> (total, lb spread, ob spread) per tuple; a family's
-    # spread is left out (None) when none of its bounds is requested
-    has_lb = not {"lb1", "lb2", "lb3"}.isdisjoint(which)
-    has_ob = not {"ob1", "ob2", "ob3"}.isdisjoint(which)
-    terms = {}
-    for name, table in tables.pairs.items():
-        k = np.ascontiguousarray(table[flat])
-        terms[name] = (
-            k.sum(axis=(1, 2)),
-            _scalar_square(_safe_sqrt(k.sum(axis=2)).sum(axis=1)) if has_lb else None,
-            (_safe_sqrt(k).sum(axis=1) ** 2).sum(axis=1) if has_ob else None,
-        )
+    # row 0 of total and of each spread holds the plus terms, row 1 the minus
+    k = np.ascontiguousarray(np.stack((tables.plus, tables.minus))[:, flat])
+    total = k.sum(axis=(2, 3))
+    lb_spread = _scalar_square(_safe_sqrt(k.sum(axis=3)).sum(axis=2))
+    ob_spread = (_safe_sqrt(k).sum(axis=2) ** 2).sum(axis=2)
     out = {}
-    if "lb1" in which or "ob1" in which:
-        total, lb_spread, ob_spread = terms["plus"]
-        if "lb1" in which:
-            out["lb1"] = (total - lb_spread / (big_n - 1) ** 2) / (big_n - 2)
-        if "ob1" in which:
-            out["ob1"] = (total - ob_spread / (big_n - 1) ** 2) / (big_n - 2)
-    if "lb2" in which or "ob2" in which:
-        weights = n ** np.arange(big_n - 1, -1, -1)
-        col_idx = np.ascontiguousarray(np.einsum("ctn,t->cn", idx, weights))
-        mean = np.ascontiguousarray(tables.col[col_idx]).sum(axis=1) / big_n
-        _, lb_spread, ob_spread = terms["minus"]
-        if "lb2" in which:
-            out["lb2"] = mean + 2.0 * lb_spread / (big_n**2 * (big_n - 1))
-        if "ob2" in which:
-            out["ob2"] = mean + 2.0 * ob_spread / (big_n**2 * (big_n - 1))
-    for name, spread_at in (("lb3", 1), ("ob3", 2)):
-        if name in which:
-            by_variant = []
-            for x in variants:
-                plain, root = ("plus", "minus") if x == 0 else ("minus", "plus")
-                spread = terms[root][spread_at]
-                by_variant.append(
-                    (terms[plain][0] + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
-                )
-            out[name] = np.stack(by_variant, axis=1)
+    if big_n > 2:
+        out["lb1"] = (total[0] - lb_spread[0] / (big_n - 1) ** 2) / (big_n - 2)
+        out["ob1"] = (total[0] - ob_spread[0] / (big_n - 1) ** 2) / (big_n - 2)
+    col_idx = np.ascontiguousarray(n ** np.arange(big_n - 1, -1, -1) @ idx)
+    mean = np.ascontiguousarray(tables.col[col_idx]).sum(axis=1) / big_n
+    out["lb2"] = mean + 2.0 * lb_spread[1] / (big_n**2 * (big_n - 1))
+    out["ob2"] = mean + 2.0 * ob_spread[1] / (big_n**2 * (big_n - 1))
+    for name, spread in (("lb3", lb_spread), ("ob3", ob_spread)):
+        out[name] = np.empty((len(idx), len(variants)))
+        for j, x in enumerate(variants):
+            # variant 0: plus terms plain, minus terms under the roots
+            plain, root = x, 1 - x
+            out[name][:, j] = (
+                total[plain] + 2.0 * spread[root] / (big_n * (big_n - 1))
+            ) / (2.0 * (big_n - 1))
     return out
 
 
@@ -310,14 +278,18 @@ def tuple_bound_values(
 
     Diagnostic surface used by the dominance and invariance tests; keys
     lb3/ob3 appear per sign variant as lb3_x0, lb3_x1, ob3_x0, ob3_x1.
-    lb1/ob1 are None when N = 2.
+    lb1/ob1 are None when N = 2. ``perms`` holds one permutation of
+    range(n) per channel, n being the longest Kraus list.
     """
     kraus = _padded_kraus(channels)
-    big_n = len(kraus)
-    which = _ALL_BOUNDS if big_n > 2 else _ALL_BOUNDS[2:]
-    tables = _k_tables(cache, kraus, which)
+    n = len(kraus[0])
+    if len(perms) != len(kraus):
+        raise ValueError(f"need one permutation per channel ({len(kraus)}), got {len(perms)}")
+    for t, perm in enumerate(perms):
+        if sorted(perm) != list(range(n)):
+            raise ValueError(f"perms[{t}] = {perm!r} is not a permutation of range({n})")
     idx = np.array(perms, dtype=np.intp)[None]
-    scored = _score_chunk(tables, idx, which, (0, 1))
+    scored = _score_chunk(_k_tables(cache, kraus), idx, (0, 1))
     values: dict[str, float | None] = {
         name: float(scored[name][0]) if name in scored else None
         for name in ("lb1", "ob1", "lb2", "ob2")
@@ -341,7 +313,7 @@ def _offer_chunk(best: dict, name: str, values: np.ndarray, first: int) -> None:
     cur = best.get(name) or (float(values[0]), first)
     running = np.maximum.accumulate(values)
     while True:
-        j = int(np.searchsorted(running, cur[0] + ARGMAX_MARGIN, side="right"))
+        j = int(running.searchsorted(cur[0] + ARGMAX_MARGIN, side="right"))
         if j == len(values):
             break
         cur = (float(values[j]), first + j)
@@ -351,11 +323,10 @@ def _offer_chunk(best: dict, name: str, values: np.ndarray, first: int) -> None:
 def _search_bounds(
     cache: WeightedOperatorCache,
     kraus: list[list[np.ndarray]],
-    which: Sequence[str],
     cap: int,
     sign_variant: int | None,
 ) -> dict[str, tuple[float, PermTuple, int | None]]:
-    """Maximize the requested bounds jointly over one tuple enumeration.
+    """Maximize every bound N allows jointly over one tuple enumeration.
 
     ``kraus`` holds N equally long Kraus lists of the state's dimension.
     Tuples are scored in lexicographic order, SEARCH_CHUNK at a time, from
@@ -364,58 +335,55 @@ def _search_bounds(
     """
     big_n = len(kraus)
     n = len(kraus[0])
-    if big_n <= 2 and ("lb1" in which or "ob1" in which):
-        name = "lb1" if "lb1" in which else "ob1"
-        raise ValueError(f"{name.upper()} requires N > 2 channels, got {big_n}")
     if sign_variant not in (None, 0, 1):
         raise ValueError(f"sign_variant must be 0, 1 or None, got {sign_variant}")
     count = _tuple_count(n, big_n, cap)
     variants = (0, 1) if sign_variant is None else (sign_variant,)
-    tables = _k_tables(cache, kraus, which)
-    perm_list = list(itertools.permutations(range(n)))
-    perm_arr = np.array(perm_list, dtype=np.intp)
-    best: dict[str, tuple[float, int]] = {}
-    for lo in range(0, count, SEARCH_CHUNK):
-        rest = np.arange(lo, min(lo + SEARCH_CHUNK, count))
-        idx = np.empty((len(rest), big_n, n), dtype=np.intp)
+    tables = _k_tables(cache, kraus)
+    perm_arr = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+
+    def tuples_at(ids: np.ndarray) -> np.ndarray:
+        """Kraus indices of the tuples at positions ``ids`` in lexicographic order."""
+        idx = np.empty((len(ids), big_n, n), dtype=np.intp)
         idx[:, 0, :] = np.arange(n)
         for t in range(big_n - 1, 0, -1):  # the last channel varies fastest
-            rest, digit = np.divmod(rest, len(perm_list))
+            ids, digit = np.divmod(ids, len(perm_arr))
             idx[:, t, :] = perm_arr[digit]
-        for name, values in _score_chunk(tables, idx, which, variants).items():
+        return idx
+
+    best: dict[str, tuple[float, int]] = {}
+    for lo in range(0, count, SEARCH_CHUNK):
+        idx = tuples_at(np.arange(lo, min(lo + SEARCH_CHUNK, count)))
+        for name, values in _score_chunk(tables, idx, variants).items():
             per_tuple = values.size // len(idx)
             _offer_chunk(best, name, values.ravel(), lo * per_tuple)
 
-    def decode(position: int, per_tuple: int) -> tuple[PermTuple, int]:
-        tuple_id, slot = divmod(position, per_tuple)
-        rest = []
-        for _ in range(big_n - 1):
-            tuple_id, digit = divmod(tuple_id, len(perm_list))
-            rest.append(perm_list[digit])
-        return (perm_list[0], *reversed(rest)), slot
-
     found = {}
     for name, (value, position) in best.items():
-        if name in ("lb3", "ob3"):
-            perms, slot = decode(position, len(variants))
-            found[name] = (value, perms, variants[slot])
-        else:
-            found[name] = (value, decode(position, 1)[0], None)
-    return found
+        xs = variants if name in ("lb3", "ob3") else (None,)
+        tuple_id, slot = divmod(position, len(xs))
+        found[name] = (value, tuple_id, xs[slot])
+    winners = tuples_at(np.array([tuple_id for _, tuple_id, _ in found.values()])).tolist()
+    return {
+        name: (value, tuple(map(tuple, perms)), x)
+        for (name, (value, _, x)), perms in zip(found.items(), winners)
+    }
 
 
-def _search_channel_bounds(
+def _report_bound(
+    name: str,
     rho: DensityMatrix,
     channels: Sequence[KrausChannel],
     params: SkewParams,
-    which: Sequence[str],
     cap: int,
-    sign_variant: int | None,
-) -> dict[str, tuple[float, PermTuple, int | None]]:
-    """_search_bounds on validated, zero-padded channels."""
-    kraus = _padded_kraus(channels)
-    _check_channel_dims(rho, channels)
-    return _search_bounds(weighted_ops(rho, params), kraus, which, cap, sign_variant)
+    sign_variant: int | None = SIGN_VARIANT_DEFAULT,
+) -> tuple[float, PermTuple, int | None]:
+    """One bound's value, argmax tuple and sign variant, read off the channel report."""
+    if name in ("lb1", "ob1") and len(channels) <= 2:
+        raise ValueError(f"{name.upper()} requires N > 2 channels, got {len(channels)}")
+    report = channel_bound_report(rho, channels, params, cap, sign_variant)
+    argmax = report.argmax[name]
+    return getattr(report, name), argmax.perms, argmax.x
 
 
 def lb1(
@@ -425,8 +393,7 @@ def lb1(
     cap: int = DEFAULT_TUPLE_CAP,
 ) -> tuple[float, PermTuple]:
     """Pairwise-sum bound with the deficit aggregated across pairs; N > 2."""
-    value, perms, _ = _search_channel_bounds(rho, channels, params, ("lb1",), cap, None)["lb1"]
-    return value, perms
+    return _report_bound("lb1", rho, channels, params, cap)[:2]
 
 
 def ob1(
@@ -436,8 +403,7 @@ def ob1(
     cap: int = DEFAULT_TUPLE_CAP,
 ) -> tuple[float, PermTuple]:
     """lb1 counterpart with the deficit aggregated per Kraus index; N > 2."""
-    value, perms, _ = _search_channel_bounds(rho, channels, params, ("ob1",), cap, None)["ob1"]
-    return value, perms
+    return _report_bound("ob1", rho, channels, params, cap)[:2]
 
 
 def lb2(
@@ -447,8 +413,7 @@ def lb2(
     cap: int = DEFAULT_TUPLE_CAP,
 ) -> tuple[float, PermTuple]:
     """Mean of column sums plus a pairwise-difference spread term."""
-    value, perms, _ = _search_channel_bounds(rho, channels, params, ("lb2",), cap, None)["lb2"]
-    return value, perms
+    return _report_bound("lb2", rho, channels, params, cap)[:2]
 
 
 def ob2(
@@ -458,8 +423,7 @@ def ob2(
     cap: int = DEFAULT_TUPLE_CAP,
 ) -> tuple[float, PermTuple]:
     """lb2 counterpart with the spread aggregated per Kraus index."""
-    value, perms, _ = _search_channel_bounds(rho, channels, params, ("ob2",), cap, None)["ob2"]
-    return value, perms
+    return _report_bound("ob2", rho, channels, params, cap)[:2]
 
 
 def lb3(
@@ -470,10 +434,7 @@ def lb3(
     sign_variant: int | None = SIGN_VARIANT_DEFAULT,
 ) -> tuple[float, PermTuple, int]:
     """Mixed sum/difference bound; see the module docstring for variants."""
-    value, perms, x = _search_channel_bounds(
-        rho, channels, params, ("lb3",), cap, sign_variant
-    )["lb3"]
-    return value, perms, x
+    return _report_bound("lb3", rho, channels, params, cap, sign_variant)
 
 
 def ob3(
@@ -484,10 +445,7 @@ def ob3(
     sign_variant: int | None = SIGN_VARIANT_DEFAULT,
 ) -> tuple[float, PermTuple, int]:
     """lb3 counterpart with per-index aggregation."""
-    value, perms, x = _search_channel_bounds(
-        rho, channels, params, ("ob3",), cap, sign_variant
-    )["ob3"]
-    return value, perms, x
+    return _report_bound("ob3", rho, channels, params, cap, sign_variant)
 
 
 def channel_bound_report(
@@ -498,15 +456,15 @@ def channel_bound_report(
     sign_variant: int | None = SIGN_VARIANT_DEFAULT,
 ) -> BoundReport:
     """Exact sum and all six bounds, sharing one cache and one enumeration."""
-    _check_channel_dims(rho, channels)
+    for ch in channels:
+        if ch.dim != rho.dim:
+            raise ValueError(
+                f"channel '{ch.name}' dim {ch.dim} does not match state dim {rho.dim}"
+            )
     kraus = _padded_kraus(channels)
-    big_n = len(kraus)
     cache = weighted_ops(rho, params)
     total = sum(skew_with_cache(cache, op) for ops in kraus for op in ops)
-    which = ["lb2", "ob2", "lb3", "ob3"]
-    if big_n > 2:
-        which += ["lb1", "ob1"]
-    found = _search_bounds(cache, kraus, which, cap, sign_variant)
+    found = _search_bounds(cache, kraus, cap, sign_variant)
     argmax = {
         name: BoundArgmax(perms=found[name][1], x=found[name][2]) for name in found
     }
@@ -525,54 +483,38 @@ def channel_bound_report(
 # --- unitary channels: one-Kraus channels, so a single tuple -----------------
 
 
-def _unwrap_unitaries(rho: DensityMatrix, unitaries: Sequence[UnitaryOp]) -> list[np.ndarray]:
-    if len(unitaries) < 2:
-        raise ValueError(f"need at least 2 unitaries, got {len(unitaries)}")
-    for k, u in enumerate(unitaries):
-        if u.dim != rho.dim:
-            raise ValueError(f"unitary {k} dim {u.dim} does not match state dim {rho.dim}")
-    return [u.mat for u in unitaries]
-
-
-def _search_unitary_bounds(
-    cache: WeightedOperatorCache, mats: list[np.ndarray], which: Sequence[str]
-) -> dict[str, tuple[float, PermTuple, int | None]]:
-    """The channel bounds of the one-Kraus channels U_t, both lb3 variants."""
-    return _search_bounds(cache, [[m] for m in mats], which, 1, None)
-
-
 def unitary_lb1(rho: DensityMatrix, unitaries: Sequence[UnitaryOp], params: SkewParams) -> float:
     """Pairwise-sum bound for unitary channels; N > 2."""
-    mats = _unwrap_unitaries(rho, unitaries)
-    if len(mats) <= 2:
-        raise ValueError(f"LB1 requires N > 2 unitaries, got {len(mats)}")
-    return _search_unitary_bounds(weighted_ops(rho, params), mats, ("lb1",))["lb1"][0]
+    if len(unitaries) <= 2:
+        raise ValueError(f"LB1 requires N > 2 unitaries, got {len(unitaries)}")
+    return unitary_bound_report(rho, unitaries, params).lb1
 
 
 def unitary_lb2(rho: DensityMatrix, unitaries: Sequence[UnitaryOp], params: SkewParams) -> float:
     """Mean bound K(sum U_t)/N plus the pairwise-difference spread term."""
-    mats = _unwrap_unitaries(rho, unitaries)
-    return _search_unitary_bounds(weighted_ops(rho, params), mats, ("lb2",))["lb2"][0]
+    return unitary_bound_report(rho, unitaries, params).lb2
 
 
 def unitary_lb3(
     rho: DensityMatrix, unitaries: Sequence[UnitaryOp], params: SkewParams
 ) -> tuple[float, int]:
     """Mixed sum/difference bound, maximized over the two sign variants."""
-    mats = _unwrap_unitaries(rho, unitaries)
-    value, _, x = _search_unitary_bounds(weighted_ops(rho, params), mats, ("lb3",))["lb3"]
-    return value, x
+    report = unitary_bound_report(rho, unitaries, params)
+    return report.lb3, report.argmax_x
 
 
 def unitary_bound_report(
     rho: DensityMatrix, unitaries: Sequence[UnitaryOp], params: SkewParams
 ) -> UnitaryBoundReport:
     """Exact sum plus the three unitary bounds, from one shared cache."""
-    mats = _unwrap_unitaries(rho, unitaries)
+    if len(unitaries) < 2:
+        raise ValueError(f"need at least 2 unitaries, got {len(unitaries)}")
+    for k, u in enumerate(unitaries):
+        if u.dim != rho.dim:
+            raise ValueError(f"unitary {k} dim {u.dim} does not match state dim {rho.dim}")
     cache = weighted_ops(rho, params)
-    total = sum(skew_with_cache(cache, m) for m in mats)
-    which = ("lb1", "lb2", "lb3") if len(mats) > 2 else ("lb2", "lb3")
-    found = _search_unitary_bounds(cache, mats, which)
+    total = sum(skew_with_cache(cache, u.mat) for u in unitaries)
+    found = _search_bounds(cache, [[u.mat] for u in unitaries], 1, None)
     return UnitaryBoundReport(
         sum=total,
         lb1=found["lb1"][0] if "lb1" in found else None,

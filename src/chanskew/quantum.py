@@ -10,11 +10,17 @@ a matrix is a list of rows of such pairs, and a channel is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmatrix import HERMITIAN_TOL, as_cmatrix, clamp_psd_eigenvalues, eig_hermitian
+from .cmatrix import (
+    HERMITIAN_TOL,
+    EigenDecomposition,
+    as_cmatrix,
+    clamp_psd_eigenvalues,
+    eig_hermitian,
+)
 
 PAULI_1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -35,9 +41,15 @@ def _freeze(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace matrix."""
+    """Hermitian, positive-semidefinite, unit-trace matrix.
+
+    ``spectrum`` is the eigendecomposition the PSD check computes, with
+    rounding-level eigenvalues zeroed (clamp_psd_eigenvalues); the skew
+    information reads it, so a state is decomposed once.
+    """
 
     mat: np.ndarray
+    spectrum: EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_cmatrix(self.mat)
@@ -47,7 +59,11 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace is {tr:.12g}, expected 1")
-        clamp_psd_eigenvalues(eig_hermitian(m).eigenvalues)
+        dec = eig_hermitian(m)
+        spectrum = EigenDecomposition(clamp_psd_eigenvalues(dec.eigenvalues), dec.eigenvectors)
+        for arr in spectrum:
+            arr.flags.writeable = False
+        object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "mat", _freeze(m))
 
     @property

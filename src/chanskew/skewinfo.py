@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import clamp_psd_eigenvalues, eig_hermitian, spectral_power
+from .cmatrix import spectral_power
 from .quantum import DensityMatrix, KrausChannel, UnitaryOp
 
 
@@ -46,8 +46,9 @@ class SkewParams:
 class WeightedOperatorCache:
     """Precomputed W and tail power T for one (rho, params) pair.
 
-    Built from a single eigendecomposition of rho and shared across all
-    operator evaluations (the permutation search re-evaluates K heavily).
+    Built from the spectrum rho's validation computed (no further
+    eigendecomposition) and shared across all operator evaluations (the
+    permutation search re-evaluates K heavily).
     """
 
     w: np.ndarray
@@ -61,13 +62,12 @@ class WeightedOperatorCache:
 
 def weighted_ops(rho: DensityMatrix, params: SkewParams) -> WeightedOperatorCache:
     """Compute W = (1-gamma) rho^alpha + gamma rho^beta and the tail power."""
-    dec = eig_hermitian(rho.mat)
-    lams = clamp_psd_eigenvalues(dec.eigenvalues)
-    ra = spectral_power(lams, dec.eigenvectors, params.alpha)
-    rb = spectral_power(lams, dec.eigenvectors, params.beta)
+    lams, vecs = rho.spectrum
+    ra = spectral_power(lams, vecs, params.alpha)
+    rb = spectral_power(lams, vecs, params.beta)
     w = (1.0 - params.gamma) * ra + params.gamma * rb
     tail_exp = (1.0 - params.alpha - params.beta) / 2.0
-    tail = spectral_power(lams, dec.eigenvectors, tail_exp)
+    tail = spectral_power(lams, vecs, tail_exp)
     return WeightedOperatorCache(w=w, tail=tail, tail_is_identity=tail_exp == 0.0)
 
 

@@ -194,6 +194,41 @@ class TestChannelBounds:
                 for name, value in base.items():
                     assert moved[name] == pytest.approx(value, abs=1e-12), name
 
+    @pytest.mark.parametrize(
+        "perms,match",
+        [
+            (((0, 1), (0, 0), (1, 1)), r"perms\[1\] = \(0, 0\) is not a permutation"),
+            (((0, 1), (-1, 0), (1, 0)), r"perms\[1\] = \(-1, 0\) is not a permutation"),
+            (((0, 1), (1, 0)), r"one permutation per channel \(3\), got 2"),
+            (((0, 1), (1, 0), (0, 1), (1, 0)), r"one permutation per channel \(3\), got 4"),
+        ],
+        ids=["repeated-index", "negative-index", "too-few", "too-many"],
+    )
+    def test_fixed_tuple_rejects_malformed_perms(self, perms, match):
+        rho, channels = table_config()
+        with pytest.raises(ValueError, match=match):
+            tuple_bound_values(weighted_ops(rho, TABLE_PARAMS), channels, perms)
+
+    @pytest.mark.parametrize("kind", ["channel", "unitary"])
+    def test_state_is_decomposed_once_per_report(self, monkeypatch, rng, kind):
+        # validation decomposes the state; the report reuses that spectrum
+        channels = damping_flip_channels(0.3)
+        unitaries = [random_unitary(rng) for _ in range(3)]
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        rho = random_qubit_state(rng)
+        if kind == "channel":
+            channel_bound_report(rho, channels, TABLE_PARAMS)
+        else:
+            unitary_bound_report(rho, unitaries, TABLE_PARAMS)
+        assert calls == [(2, 2)]
+
     def test_gamma_drops_out_at_equal_half_exponents(self, rng):
         rho, channels = table_config(q=0.45, theta=0.6)
         ref = channel_bound_report(rho, channels, SkewParams(0.5, 0.5, 0.5))

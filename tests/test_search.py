@@ -108,9 +108,9 @@ def test_every_scored_value_matches_oracle_formulas(monkeypatch, rng, dim, count
     rho, channels, params = random_config(rng, dim, counts)
     cache = weighted_ops(rho, params)
     kraus = bounds._padded_kraus(channels)
-    tables = bounds._k_tables(cache, kraus, bounds._ALL_BOUNDS)
+    tables = bounds._k_tables(cache, kraus)
     tuples = list(enumerate_tuples(len(kraus[0]), len(kraus)))
-    scored = bounds._score_chunk(tables, np.array(tuples), bounds._ALL_BOUNDS, (0, 1))
+    scored = bounds._score_chunk(tables, np.array(tuples), (0, 1))
     for c, perms in enumerate(tuples):
         want = oracle_tuple_values(cache, channels, perms)
         got = {name: scored[name][c] for name in ("lb1", "ob1", "lb2", "ob2")}
@@ -138,9 +138,9 @@ def test_chunks_cover_every_tuple_once(monkeypatch, rng):
     seen = []
     score = bounds._score_chunk
 
-    def recording(tables, idx, which, variants):
+    def recording(tables, idx, variants):
         seen.append(idx.copy())
-        return score(tables, idx, which, variants)
+        return score(tables, idx, variants)
 
     monkeypatch.setattr(bounds, "SEARCH_CHUNK", 5)
     monkeypatch.setattr(bounds, "_score_chunk", recording)

@@ -25,9 +25,11 @@ from chanskew.skewinfo import (
 
 from support import (
     direct_skew,
+    random_channel,
     random_density,
     random_matrix,
     random_params,
+    random_unitary,
     skew_mean_arbitrary,
     skew_mean_hermitian,
     skew_two_exponent_hermitian,
@@ -238,6 +240,22 @@ class TestChannelsAndUnitaries:
             total = skew_info_channel(rho, ch, p)
             parts = sum(skew_info_op(rho, op, p) for op in ch.ops)
             assert total == pytest.approx(parts, abs=1e-14)
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4), n_ops=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_kraus_remix_invariance(self, seed, dim, n_ops):
+        # F_j = sum_i V_ji E_i with V unitary is another Kraus set of the
+        # same channel, and K(Phi) = 1/2 Tr G does not depend on the set
+        rng = np.random.default_rng(seed)
+        ch = random_channel(rng, dim, n_ops)
+        v = random_unitary(rng, n_ops).mat
+        remixed = KrausChannel(
+            "remixed",
+            tuple(sum(v[j, i] * e for i, e in enumerate(ch.ops)) for j in range(n_ops)),
+        )
+        rho, p = random_density(rng, dim), random_params(rng)
+        base = skew_info_channel(rho, ch, p)
+        assert skew_info_channel(rho, remixed, p) == pytest.approx(base, rel=1e-12, abs=0.0)
 
     def test_channel_dim_mismatch(self, rng):
         ch = KrausChannel("id3", (np.eye(3, dtype=complex),))
