@@ -19,10 +19,12 @@ A unitary channel is the one-Kraus channel {U}, so the unitary bounds
 are lb1/lb2/lb3 of one-Kraus channels: the same search, over its single
 tuple, with lb3 maximized over both sign variants.
 
-Every search scores all the bounds N allows. lb1..ob3 and
-unitary_lb1/2/3 read one bound off channel_bound_report or
-unitary_bound_report, so each costs a full report. A state is decomposed
-once, when DensityMatrix validates it; every report reuses that spectrum.
+The two reports are the API. One search scores every bound N allows,
+and channel_bound_report returns each value with its argmax tuple and
+sign variant: report.lb2, report.argmax["lb2"].perms and
+report.argmax["lb3"].x; unitary_bound_report records the lb3 variant as
+argmax_x. A state is decomposed once, when DensityMatrix validates it;
+every report reuses that spectrum.
 """
 
 from __future__ import annotations
@@ -205,6 +207,8 @@ class _KTables:
     in C order. Each operand is built with the expression a per-tuple
     evaluation uses (``et + es``, ``et - es``, ``sum()`` over the channels
     in order), so every entry is bit-identical to the K value it stands for.
+    norm_inequality_check fills the same fields with squared vector norms
+    (one "Kraus index" per vector, col = [||sum u_t||^2]).
     """
 
     plus: np.ndarray
@@ -370,84 +374,6 @@ def _search_bounds(
     }
 
 
-def _report_bound(
-    name: str,
-    rho: DensityMatrix,
-    channels: Sequence[KrausChannel],
-    params: SkewParams,
-    cap: int,
-    sign_variant: int | None = SIGN_VARIANT_DEFAULT,
-) -> tuple[float, PermTuple, int | None]:
-    """One bound's value, argmax tuple and sign variant, read off the channel report."""
-    if name in ("lb1", "ob1") and len(channels) <= 2:
-        raise ValueError(f"{name.upper()} requires N > 2 channels, got {len(channels)}")
-    report = channel_bound_report(rho, channels, params, cap, sign_variant)
-    argmax = report.argmax[name]
-    return getattr(report, name), argmax.perms, argmax.x
-
-
-def lb1(
-    rho: DensityMatrix,
-    channels: Sequence[KrausChannel],
-    params: SkewParams,
-    cap: int = DEFAULT_TUPLE_CAP,
-) -> tuple[float, PermTuple]:
-    """Pairwise-sum bound with the deficit aggregated across pairs; N > 2."""
-    return _report_bound("lb1", rho, channels, params, cap)[:2]
-
-
-def ob1(
-    rho: DensityMatrix,
-    channels: Sequence[KrausChannel],
-    params: SkewParams,
-    cap: int = DEFAULT_TUPLE_CAP,
-) -> tuple[float, PermTuple]:
-    """lb1 counterpart with the deficit aggregated per Kraus index; N > 2."""
-    return _report_bound("ob1", rho, channels, params, cap)[:2]
-
-
-def lb2(
-    rho: DensityMatrix,
-    channels: Sequence[KrausChannel],
-    params: SkewParams,
-    cap: int = DEFAULT_TUPLE_CAP,
-) -> tuple[float, PermTuple]:
-    """Mean of column sums plus a pairwise-difference spread term."""
-    return _report_bound("lb2", rho, channels, params, cap)[:2]
-
-
-def ob2(
-    rho: DensityMatrix,
-    channels: Sequence[KrausChannel],
-    params: SkewParams,
-    cap: int = DEFAULT_TUPLE_CAP,
-) -> tuple[float, PermTuple]:
-    """lb2 counterpart with the spread aggregated per Kraus index."""
-    return _report_bound("ob2", rho, channels, params, cap)[:2]
-
-
-def lb3(
-    rho: DensityMatrix,
-    channels: Sequence[KrausChannel],
-    params: SkewParams,
-    cap: int = DEFAULT_TUPLE_CAP,
-    sign_variant: int | None = SIGN_VARIANT_DEFAULT,
-) -> tuple[float, PermTuple, int]:
-    """Mixed sum/difference bound; see the module docstring for variants."""
-    return _report_bound("lb3", rho, channels, params, cap, sign_variant)
-
-
-def ob3(
-    rho: DensityMatrix,
-    channels: Sequence[KrausChannel],
-    params: SkewParams,
-    cap: int = DEFAULT_TUPLE_CAP,
-    sign_variant: int | None = SIGN_VARIANT_DEFAULT,
-) -> tuple[float, PermTuple, int]:
-    """lb3 counterpart with per-index aggregation."""
-    return _report_bound("ob3", rho, channels, params, cap, sign_variant)
-
-
 def channel_bound_report(
     rho: DensityMatrix,
     channels: Sequence[KrausChannel],
@@ -481,26 +407,6 @@ def channel_bound_report(
 
 
 # --- unitary channels: one-Kraus channels, so a single tuple -----------------
-
-
-def unitary_lb1(rho: DensityMatrix, unitaries: Sequence[UnitaryOp], params: SkewParams) -> float:
-    """Pairwise-sum bound for unitary channels; N > 2."""
-    if len(unitaries) <= 2:
-        raise ValueError(f"LB1 requires N > 2 unitaries, got {len(unitaries)}")
-    return unitary_bound_report(rho, unitaries, params).lb1
-
-
-def unitary_lb2(rho: DensityMatrix, unitaries: Sequence[UnitaryOp], params: SkewParams) -> float:
-    """Mean bound K(sum U_t)/N plus the pairwise-difference spread term."""
-    return unitary_bound_report(rho, unitaries, params).lb2
-
-
-def unitary_lb3(
-    rho: DensityMatrix, unitaries: Sequence[UnitaryOp], params: SkewParams
-) -> tuple[float, int]:
-    """Mixed sum/difference bound, maximized over the two sign variants."""
-    report = unitary_bound_report(rho, unitaries, params)
-    return report.lb3, report.argmax_x
 
 
 def unitary_bound_report(
@@ -554,23 +460,14 @@ def norm_inequality_check(vectors, slack: float = 1e-9) -> tuple[bool | None, bo
     def nsq(v):
         return float(np.vdot(v, v).real)
 
-    lhs = sum(nsq(u) for u in us)
     pairs = _pair_index(big_n)
-    plus_sq = np.array([nsq(us[t] + us[s]) for t, s in pairs])
-    minus_sq = np.array([nsq(us[t] - us[s]) for t, s in pairs])
-    plus_norm = _safe_sqrt(plus_sq)
-    minus_norm = _safe_sqrt(minus_sq)
-
-    holds1 = None
-    if big_n > 2:
-        rhs1 = (plus_sq.sum() - plus_norm.sum() ** 2 / (big_n - 1) ** 2) / (big_n - 2)
-        holds1 = lhs + slack >= rhs1
-    rhs2 = nsq(sum(us)) / big_n + 2.0 * minus_norm.sum() ** 2 / (big_n**2 * (big_n - 1))
-    holds2 = lhs + slack >= rhs2
-    holds3 = True
-    for spread, plain in ((plus_norm, minus_sq), (minus_norm, plus_sq)):
-        rhs3 = (
-            2.0 * spread.sum() ** 2 / (big_n * (big_n - 1)) + plain.sum()
-        ) / (2.0 * (big_n - 1))
-        holds3 = holds3 and lhs + slack >= rhs3
-    return holds1, holds2, holds3
+    tables = _KTables(
+        plus=np.array([nsq(us[t] + us[s]) for t, s in pairs]),
+        minus=np.array([nsq(us[t] - us[s]) for t, s in pairs]),
+        col=np.array([nsq(sum(us))]),
+    )
+    # the vectors are one-Kraus "channels": the single tuple, both variants
+    scored = _score_chunk(tables, np.zeros((1, big_n, 1), dtype=np.intp), (0, 1))
+    lhs = sum(nsq(u) for u in us) + slack
+    holds1 = bool(lhs >= scored["lb1"][0]) if big_n > 2 else None
+    return holds1, bool(lhs >= scored["lb2"][0]), bool(np.all(lhs >= scored["lb3"]))

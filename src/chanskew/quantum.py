@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cmatrix import (
-    HERMITIAN_TOL,
     EigenDecomposition,
     as_cmatrix,
     clamp_psd_eigenvalues,
@@ -53,13 +52,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_cmatrix(self.mat)
-        asym = float(np.max(np.abs(m - m.conj().T)))
-        if asym > HERMITIAN_TOL:
-            raise ValueError(f"density matrix not Hermitian: max asymmetry {asym:.3e}")
+        dec = eig_hermitian(m)  # checks Hermiticity first
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace is {tr:.12g}, expected 1")
-        dec = eig_hermitian(m)
         spectrum = EigenDecomposition(clamp_psd_eigenvalues(dec.eigenvalues), dec.eigenvectors)
         for arr in spectrum:
             arr.flags.writeable = False
