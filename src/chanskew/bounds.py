@@ -25,10 +25,16 @@ sign variant: report.lb2, report.argmax["lb2"].perms and
 report.argmax["lb3"].x; unitary_bound_report records the lb3 variant as
 argmax_x. A state is decomposed once, when DensityMatrix validates it;
 every report reuses that spectrum.
+
+Every K a report reads (of the Kraus operators for the sum, of the pair
+sums and differences, and of the column sums) comes from one skew_batch
+call on one operand stack (sliced when it is long), made after the tuple
+count has passed the cap.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,7 +43,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .quantum import DensityMatrix, KrausChannel, UnitaryOp
-from .skewinfo import SkewParams, WeightedOperatorCache, skew_with_cache, weighted_ops
+from .skewinfo import SkewParams, WeightedOperatorCache, skew_batch, weighted_ops
 
 DEFAULT_TUPLE_CAP = 10**6
 SOUNDNESS_TOL = 1e-9
@@ -45,7 +51,9 @@ SQRT_CLAMP_FLOOR = -1e-12
 # a later tuple replaces the argmax only if strictly better than this margin
 ARGMAX_MARGIN = 1e-12
 # tuples scored per vectorized step; bounds the gathered arrays to
-# SEARCH_CHUNK * P * n floats whatever the tuple count
+# SEARCH_CHUNK * P * n floats whatever the tuple count. The K tables are
+# evaluated SEARCH_CHUNK // d^2 operands of d x d at a time, which bounds
+# each temporary to SEARCH_CHUNK complex numbers.
 SEARCH_CHUNK = 4096
 SIGN_VARIANT_DEFAULT = 1
 
@@ -130,7 +138,9 @@ def _safe_sqrt(values: np.ndarray) -> np.ndarray:
     low = float(arr.min(initial=0.0))
     if low < SQRT_CLAMP_FLOOR:
         raise ValueError(f"skew information value unexpectedly negative: {low:.3e}")
-    return np.sqrt(np.where(arr < 0.0, 0.0, arr))
+    if low < 0.0:
+        arr = np.where(arr < 0.0, 0.0, arr)
+    return np.sqrt(arr)
 
 
 def _tuple_count(n: int, big_n: int, cap: int) -> int:
@@ -184,6 +194,36 @@ def _pair_index(big_n: int) -> list[tuple[int, int]]:
     return [(t, s) for t in range(big_n) for s in range(t + 1, big_n)]
 
 
+@dataclass(frozen=True)
+class _Shape:
+    """Read-only index arrays of a search over N channels of n Kraus operators.
+
+    pairs holds the channel pairs (t, s), t < s, in _pair_index order;
+    pair_base the flat offset k * n * n of the k-th pair in plus and minus;
+    radix the place values of (i_0, ..., i_{N-1}) in col; perms the n!
+    permutations of range(n) in lexicographic order.
+    """
+
+    pairs: np.ndarray
+    pair_base: np.ndarray
+    radix: np.ndarray
+    perms: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def _shape(big_n: int, n: int) -> _Shape:
+    pairs = np.array(_pair_index(big_n), dtype=np.intp)
+    shape = _Shape(
+        pairs=pairs,
+        pair_base=np.arange(len(pairs), dtype=np.intp)[:, None] * n * n,
+        radix=n ** np.arange(big_n - 1, -1, -1, dtype=np.intp),
+        perms=np.array(list(itertools.permutations(range(n))), dtype=np.intp),
+    )
+    for arr in vars(shape).values():
+        arr.flags.writeable = False
+    return shape
+
+
 _libm_pow = np.frompyfunc(math.pow, 2, 1)
 
 
@@ -199,34 +239,64 @@ def _scalar_square(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _KTables:
-    """Every distinct K value a search reads, each evaluated once.
+    """Every distinct K value a report reads, each evaluated once.
 
-    For the k-th channel pair (t, s), plus holds K(E^t_a + E^s_b) at flat
+    kraus holds K(E^t_i) of the padded Kraus operators at t * n + i. For
+    the k-th channel pair (t, s), plus holds K(E^t_a + E^s_b) at flat
     position (k * n + a) * n + b, and minus the same for E^t_a - E^s_b.
     col holds K(sum_t E^t_{i_t}) at the flat position of (i_0, ..., i_{N-1})
-    in C order. Each operand is built with the expression a per-tuple
-    evaluation uses (``et + es``, ``et - es``, ``sum()`` over the channels
-    in order), so every entry is bit-identical to the K value it stands for.
-    norm_inequality_check fills the same fields with squared vector norms
-    (one "Kraus index" per vector, col = [||sum u_t||^2]).
+    in C order. All of them come from one operand stack evaluated by
+    skew_batch. Each operand is built with the arithmetic a per-tuple
+    evaluation uses (``et + es``, ``et - es``, the channels added left to
+    right as ``sum()`` adds them), so every entry is bit-identical to
+    skew_with_cache of the operand it stands for. norm_inequality_check
+    fills the same fields with squared vector norms (one "Kraus index"
+    per vector, col = [||sum u_t||^2]).
     """
 
+    kraus: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
     col: np.ndarray
 
 
+def _column_sums(ops: np.ndarray, radix: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """sum_t E^t_{i_t} for the col positions lo..hi-1, channels added in order."""
+    grid = np.arange(lo, hi, dtype=np.intp)[:, None] // radix % ops.shape[1]
+    acc = ops[0, grid[:, 0]]
+    for t in range(1, len(ops)):
+        acc += ops[t, grid[:, t]]
+    return acc
+
+
 def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _KTables:
-    big_n, n = len(kraus), len(kraus[0])
-    pair_ops = [(et, es) for t, s in _pair_index(big_n) for et in kraus[t] for es in kraus[s]]
-    return _KTables(
-        plus=np.array([skew_with_cache(cache, et + es) for et, es in pair_ops]),
-        minus=np.array([skew_with_cache(cache, et - es) for et, es in pair_ops]),
-        col=np.array([
-            skew_with_cache(cache, sum(kraus[t][i] for t, i in enumerate(idx)))
-            for idx in itertools.product(range(n), repeat=big_n)
-        ]),
+    """The K tables of padded Kraus lists, SEARCH_CHUNK // d^2 operands per batch.
+
+    The operand stack is the Kraus operators, the plus and minus pair
+    operands and the n^N column sums, in that order; column sums are built
+    only for the slice being evaluated, so operand memory does not grow
+    with n^N.
+    """
+    ops = np.array(kraus)
+    big_n, n, d = ops.shape[:3]
+    shape = _shape(big_n, n)
+    left = ops[shape.pairs[:, 0]][:, :, None]
+    right = ops[shape.pairs[:, 1]][:, None]
+    head = np.concatenate(
+        [ops.reshape(-1, d, d), (left + right).reshape(-1, d, d), (left - right).reshape(-1, d, d)]
     )
+    k = np.empty(len(head) + n**big_n)
+    rows = max(1, SEARCH_CHUNK // (d * d))
+    for lo in range(0, len(k), rows):
+        hi = min(lo + rows, len(k))
+        part = head[lo:hi]
+        if hi > len(head):
+            cols = _column_sums(ops, shape.radix, max(lo - len(head), 0), hi - len(head))
+            part = np.concatenate((part, cols))
+        k[lo:hi] = skew_batch(cache, part)
+    m = big_n * n
+    p = len(shape.pairs) * n * n
+    return _KTables(kraus=k[:m], plus=k[m : m + p], minus=k[m + p : m + 2 * p], col=k[m + 2 * p :])
 
 
 def _score_chunk(
@@ -243,11 +313,9 @@ def _score_chunk(
     one tuple's (P, n) array.
     """
     big_n, n = idx.shape[1:]
-    pair_ts = np.array(_pair_index(big_n), dtype=np.intp)
+    shape = _shape(big_n, n)
     flat = np.ascontiguousarray(
-        np.arange(len(pair_ts))[:, None] * n * n
-        + idx[:, pair_ts[:, 0], :] * n
-        + idx[:, pair_ts[:, 1], :]
+        shape.pair_base + idx[:, shape.pairs[:, 0], :] * n + idx[:, shape.pairs[:, 1], :]
     )
     # row 0 of total and of each spread holds the plus terms, row 1 the minus
     k = np.ascontiguousarray(np.stack((tables.plus, tables.minus))[:, flat])
@@ -258,7 +326,7 @@ def _score_chunk(
     if big_n > 2:
         out["lb1"] = (total[0] - lb_spread[0] / (big_n - 1) ** 2) / (big_n - 2)
         out["ob1"] = (total[0] - ob_spread[0] / (big_n - 1) ** 2) / (big_n - 2)
-    col_idx = np.ascontiguousarray(n ** np.arange(big_n - 1, -1, -1) @ idx)
+    col_idx = np.ascontiguousarray(shape.radix @ idx)
     mean = np.ascontiguousarray(tables.col[col_idx]).sum(axis=1) / big_n
     out["lb2"] = mean + 2.0 * lb_spread[1] / (big_n**2 * (big_n - 1))
     out["ob2"] = mean + 2.0 * ob_spread[1] / (big_n**2 * (big_n - 1))
@@ -329,10 +397,11 @@ def _search_bounds(
     kraus: list[list[np.ndarray]],
     cap: int,
     sign_variant: int | None,
-) -> dict[str, tuple[float, PermTuple, int | None]]:
-    """Maximize every bound N allows jointly over one tuple enumeration.
+) -> tuple[float, dict[str, tuple[float, PermTuple, int | None]]]:
+    """The exact sum, and every bound N allows maximized over one enumeration.
 
     ``kraus`` holds N equally long Kraus lists of the state's dimension.
+    The tuple count is checked against ``cap`` before any K is evaluated.
     Tuples are scored in lexicographic order, SEARCH_CHUNK at a time, from
     K tables built once; the result is bit-identical to evaluating every
     tuple on its own, including which tuple wins a tie.
@@ -344,7 +413,9 @@ def _search_bounds(
     count = _tuple_count(n, big_n, cap)
     variants = (0, 1) if sign_variant is None else (sign_variant,)
     tables = _k_tables(cache, kraus)
-    perm_arr = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    # Python's sum, not np.sum: the sum of the K values in order, one at a time
+    total = sum(tables.kraus.tolist())
+    perm_arr = _shape(big_n, n).perms
 
     def tuples_at(ids: np.ndarray) -> np.ndarray:
         """Kraus indices of the tuples at positions ``ids`` in lexicographic order."""
@@ -368,7 +439,7 @@ def _search_bounds(
         tuple_id, slot = divmod(position, len(xs))
         found[name] = (value, tuple_id, xs[slot])
     winners = tuples_at(np.array([tuple_id for _, tuple_id, _ in found.values()])).tolist()
-    return {
+    return total, {
         name: (value, tuple(map(tuple, perms)), x)
         for (name, (value, _, x)), perms in zip(found.items(), winners)
     }
@@ -389,8 +460,7 @@ def channel_bound_report(
             )
     kraus = _padded_kraus(channels)
     cache = weighted_ops(rho, params)
-    total = sum(skew_with_cache(cache, op) for ops in kraus for op in ops)
-    found = _search_bounds(cache, kraus, cap, sign_variant)
+    total, found = _search_bounds(cache, kraus, cap, sign_variant)
     argmax = {
         name: BoundArgmax(perms=found[name][1], x=found[name][2]) for name in found
     }
@@ -419,8 +489,7 @@ def unitary_bound_report(
         if u.dim != rho.dim:
             raise ValueError(f"unitary {k} dim {u.dim} does not match state dim {rho.dim}")
     cache = weighted_ops(rho, params)
-    total = sum(skew_with_cache(cache, u.mat) for u in unitaries)
-    found = _search_bounds(cache, [[u.mat] for u in unitaries], 1, None)
+    total, found = _search_bounds(cache, [[u.mat] for u in unitaries], 1, None)
     return UnitaryBoundReport(
         sum=total,
         lb1=found["lb1"][0] if "lb1" in found else None,
@@ -462,12 +531,13 @@ def norm_inequality_check(vectors, slack: float = 1e-9) -> tuple[bool | None, bo
 
     pairs = _pair_index(big_n)
     tables = _KTables(
+        kraus=np.array([nsq(u) for u in us]),
         plus=np.array([nsq(us[t] + us[s]) for t, s in pairs]),
         minus=np.array([nsq(us[t] - us[s]) for t, s in pairs]),
         col=np.array([nsq(sum(us))]),
     )
     # the vectors are one-Kraus "channels": the single tuple, both variants
     scored = _score_chunk(tables, np.zeros((1, big_n, 1), dtype=np.intp), (0, 1))
-    lhs = sum(nsq(u) for u in us) + slack
+    lhs = sum(tables.kraus.tolist()) + slack
     holds1 = bool(lhs >= scored["lb1"][0]) if big_n > 2 else None
     return holds1, bool(lhs >= scored["lb2"][0]), bool(np.all(lhs >= scored["lb3"]))

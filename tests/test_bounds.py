@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chanskew import bounds
 from chanskew.bounds import (
     channel_bound_report,
     enumerate_tuples,
@@ -15,7 +16,13 @@ from chanskew.quantum import IDENTITY_2, KrausChannel, UnitaryOp, validate_chann
 from chanskew.repro import damping_flip_channels, planar_bloch_state
 from chanskew.skewinfo import SkewParams, skew_info_unitary, weighted_ops
 
-from support import random_density, random_params, random_qubit_state, random_unitary
+from support import (
+    random_channel,
+    random_density,
+    random_params,
+    random_qubit_state,
+    random_unitary,
+)
 
 TABLE_PARAMS = SkewParams(0.25, 0.75, 0.25)
 
@@ -191,6 +198,25 @@ class TestChannelBounds:
         rho, channels = table_config()
         with pytest.raises(ValueError, match=match):
             tuple_bound_values(weighted_ops(rho, TABLE_PARAMS), channels, perms)
+
+    def test_cap_is_checked_before_any_k_evaluation(self, monkeypatch, rng):
+        batch = bounds.skew_batch
+        sizes = []
+
+        def counting(cache, ops):
+            sizes.append(len(ops))
+            return batch(cache, ops)
+
+        monkeypatch.setattr(bounds, "skew_batch", counting)
+        rho = random_qubit_state(rng)
+        channels = [random_channel(rng, 2, 3) for _ in range(4)]  # 6^3 = 216 tuples
+        with pytest.raises(ValueError, match="needs 216 tuples, above the cap of 215"):
+            channel_bound_report(rho, channels, TABLE_PARAMS, cap=215)
+        assert sizes == []
+        # at the cap: the Kraus operators, 2 * 6 * 9 pair operands and 3^4
+        # column sums, in one batch
+        channel_bound_report(rho, channels, TABLE_PARAMS, cap=216)
+        assert sizes == [4 * 3 + 2 * 6 * 9 + 3**4]
 
     @pytest.mark.parametrize("kind", ["channel", "unitary"])
     def test_state_is_decomposed_once_per_report(self, monkeypatch, rng, kind):

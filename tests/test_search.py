@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from chanskew import bounds
+from chanskew import bounds, skewinfo
 from chanskew.bounds import (
     channel_bound_report,
     enumerate_tuples,
@@ -98,7 +98,7 @@ def test_every_scored_value_matches_oracle_formulas(monkeypatch, rng, dim, count
     def skew(cache, e):
         key = e.tobytes()
         if key not in memo:
-            memo[key] = bounds.skew_with_cache(cache, e)
+            memo[key] = skewinfo.skew_with_cache(cache, e)
         return memo[key]
 
     monkeypatch.setattr(support, "skew_with_cache", skew)
@@ -113,6 +113,46 @@ def test_every_scored_value_matches_oracle_formulas(monkeypatch, rng, dim, count
         got = {name: scored[name][c] for name in ("lb1", "ob1", "lb2", "ob2")}
         got.update({f"{name}_x{x}": scored[name][c, x] for name in ("lb3", "ob3") for x in (0, 1)})
         assert got == want, perms
+
+
+def test_k_tables_are_bit_identical_to_single_operand_evaluation(monkeypatch):
+    # a chunk of 3 gives slices of 3 operands at d = 1 and of one operand
+    # above, so slices end inside each field and at the boundaries between
+    monkeypatch.setattr(bounds, "SEARCH_CHUNK", 3)
+    batch = bounds.skew_batch
+    sizes = []
+
+    def recording(cache, ops):
+        sizes.append((len(ops), cache.dim))
+        return batch(cache, ops)
+
+    monkeypatch.setattr(bounds, "skew_batch", recording)
+    rng = np.random.default_rng(15)
+    shapes = [(2, (3, 3, 2, 1)), (1, (2, 1, 2)), (3, (1, 1))]
+    for _ in range(20):
+        counts = tuple(int(c) for c in rng.integers(1, 5, size=int(rng.integers(2, 6))))
+        shapes.append((int(rng.choice([1, 2, 3, 4, 8])), counts))
+    for dim, counts in shapes:
+        rho, channels, params = random_config(rng, dim, counts)
+        cache = weighted_ops(rho, params)
+        kraus = bounds._padded_kraus(channels)
+        big_n, n = len(kraus), len(kraus[0])
+        tables = bounds._k_tables(cache, kraus)
+
+        def k(e):
+            return skewinfo.skew_with_cache(cache, e)
+
+        pairs = bounds._pair_index(big_n)
+        pair_ops = [(et, es) for t, s in pairs for et in kraus[t] for es in kraus[s]]
+        assert tables.kraus.tolist() == [k(e) for ops in kraus for e in ops], (dim, counts)
+        assert tables.plus.tolist() == [k(et + es) for et, es in pair_ops], (dim, counts)
+        assert tables.minus.tolist() == [k(et - es) for et, es in pair_ops], (dim, counts)
+        assert tables.col.tolist() == [
+            k(sum(kraus[t][i] for t, i in enumerate(idx)))
+            for idx in itertools.product(range(n), repeat=big_n)
+        ], (dim, counts)
+    assert all(m <= max(1, 3 // dim**2) for m, dim in sizes)
+    assert (3, 1) in sizes
 
 
 @pytest.mark.parametrize("chunk", [None, 3])

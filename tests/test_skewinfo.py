@@ -16,6 +16,7 @@ from chanskew.quantum import (
 )
 from chanskew.skewinfo import (
     SkewParams,
+    skew_batch,
     skew_info_channel,
     skew_info_op,
     skew_info_unitary,
@@ -298,6 +299,31 @@ class TestChannelsAndUnitaries:
         for _ in range(10):
             e = random_matrix(rng, 2)
             assert skew_with_cache(cache, e) == skew_info_op(rho, e, p)
+
+
+class TestSkewBatch:
+    # every K a report reads comes from skew_batch; equality with the
+    # single-operand evaluator is exact, so a numpy/BLAS build on which the
+    # stacked products round differently fails here before any digest does
+    @pytest.mark.parametrize("identity_tail", [False, True])
+    def test_equals_single_operand_evaluation(self, rng, identity_tail):
+        for _ in range(150):
+            dim = int(rng.integers(1, 17))
+            if identity_tail:
+                alpha = float(rng.choice([0.0, 0.25, 0.5, 0.625, 1.0]))
+                params = SkewParams(alpha, 1.0 - alpha, rng.random())
+            else:
+                params = random_params(rng)
+            cache = weighted_ops(random_density(rng, dim), params)
+            assert cache.tail_is_identity == identity_tail
+            ops = np.array([random_matrix(rng, dim) for _ in range(int(rng.integers(1, 40)))])
+            ops[rng.random(len(ops)) < 0.2] = 0.0
+            assert skew_batch(cache, ops).tolist() == [skew_with_cache(cache, e) for e in ops]
+
+    def test_shape_mismatch(self, rng):
+        cache = weighted_ops(random_density(rng, 2), HALF)
+        with pytest.raises(ValueError, match="state is"):
+            skew_batch(cache, np.zeros((4, 3, 3), dtype=np.complex128))
 
 
 class TestSingularStates:
