@@ -6,17 +6,13 @@ from .bounds import (
     UnitaryBoundReport,
     channel_bound_report,
     enumerate_tuples,
-    norm_inequality_check,
     tuple_bound_values,
     unitary_bound_report,
 )
 from .cmatrix import (
     ConvergenceError,
     EigenDecomposition,
-    adjoint,
-    commutator,
     eig_hermitian,
-    hs_norm_sq,
     matrix_power,
 )
 from .quantum import (
@@ -30,7 +26,6 @@ from .quantum import (
     density_matrix_from_json,
     pauli_rotation,
     phase_damping,
-    validate_channel,
 )
 from .repro import SweepConfig, channel_sweep, eighth_turn_unitaries, unitary_sweep
 from .skewinfo import (
@@ -56,21 +51,17 @@ __all__ = [
     "UnitaryBoundReport",
     "UnitaryOp",
     "WeightedOperatorCache",
-    "adjoint",
     "amplitude_damping",
     "bit_flip",
     "bloch_state",
     "channel_bound_report",
     "channel_from_json",
     "channel_sweep",
-    "commutator",
     "density_matrix_from_json",
     "eig_hermitian",
     "eighth_turn_unitaries",
     "enumerate_tuples",
-    "hs_norm_sq",
     "matrix_power",
-    "norm_inequality_check",
     "pauli_rotation",
     "phase_damping",
     "skew_batch",
@@ -81,7 +72,6 @@ __all__ = [
     "tuple_bound_values",
     "unitary_bound_report",
     "unitary_sweep",
-    "validate_channel",
     "weighted_ops",
 ]
 

@@ -249,9 +249,9 @@ class _KTables:
     skew_batch. Each operand is built with the arithmetic a per-tuple
     evaluation uses (``et + es``, ``et - es``, the channels added left to
     right as ``sum()`` adds them), so every entry is bit-identical to
-    skew_with_cache of the operand it stands for. norm_inequality_check
-    fills the same fields with squared vector norms (one "Kraus index"
-    per vector, col = [||sum u_t||^2]).
+    skew_with_cache of the operand it stands for. The norm-inequality
+    check in the test suite fills the same fields with squared vector
+    norms (one "Kraus index" per vector, col = [||sum u_t||^2]).
     """
 
     kraus: np.ndarray
@@ -497,47 +497,3 @@ def unitary_bound_report(
         lb3=found["lb3"][0],
         argmax_x=found["lb3"][2],
     )
-
-
-# --- proof-level vector inequalities ----------------------------------------
-
-
-def norm_inequality_check(vectors, slack: float = 1e-9) -> tuple[bool | None, bool, bool]:
-    """Check the three vector-norm inequalities the channel bounds rest on.
-
-    For finite-dimensional complex vectors u_1..u_N and S = sum ||u_t||^2:
-
-    1. (N > 2)  S >= [sum_{t<s} ||u_t+u_s||^2
-                      - (sum_{t<s} ||u_t+u_s||)^2 / (N-1)^2] / (N-2)
-    2.          S >= ||sum u_t||^2 / N
-                      + 2 (sum_{t<s} ||u_t-u_s||)^2 / (N^2 (N-1))
-    3.          S >= [2 (sum ||u_t (+/-) u_s||)^2 / (N(N-1))
-                      + sum ||u_t (-/+) u_s||^2] / (2(N-1)), both sign choices
-
-    Returns (holds1, holds2, holds3) within ``slack``; holds1 is None when
-    N = 2. Test-suite support, not a runtime code path.
-    """
-    us = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
-    big_n = len(us)
-    if big_n < 2:
-        raise ValueError(f"need at least 2 vectors, got {big_n}")
-    dim = us[0].size
-    for k, u in enumerate(us):
-        if u.size != dim:
-            raise ValueError(f"vector {k} has {u.size} components, expected {dim}")
-
-    def nsq(v):
-        return float(np.vdot(v, v).real)
-
-    pairs = _pair_index(big_n)
-    tables = _KTables(
-        kraus=np.array([nsq(u) for u in us]),
-        plus=np.array([nsq(us[t] + us[s]) for t, s in pairs]),
-        minus=np.array([nsq(us[t] - us[s]) for t, s in pairs]),
-        col=np.array([nsq(sum(us))]),
-    )
-    # the vectors are one-Kraus "channels": the single tuple, both variants
-    scored = _score_chunk(tables, np.zeros((1, big_n, 1), dtype=np.intp), (0, 1))
-    lhs = sum(tables.kraus.tolist()) + slack
-    holds1 = bool(lhs >= scored["lb1"][0]) if big_n > 2 else None
-    return holds1, bool(lhs >= scored["lb2"][0]), bool(np.all(lhs >= scored["lb3"]))

@@ -26,33 +26,9 @@ def as_cmatrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
-
-
-def _require_same_dim(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(
-            f"{op}: dimension mismatch, {a.shape[0]}x{a.shape[1]} vs "
-            f"{b.shape[0]}x{b.shape[1]}"
-        )
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
-def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """xy - yx."""
-    _require_same_dim(x, y, "commutator")
-    return x @ y - y @ x
-
-
-def hs_norm_sq(x: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt (Frobenius) norm, Tr(x^H x) = sum |x_ij|^2."""
-    return float(np.vdot(x, x).real)
 
 
 class EigenDecomposition(NamedTuple):

@@ -182,11 +182,6 @@ def pauli_rotation(axis: int, angle: float) -> UnitaryOp:
     return UnitaryOp(np.cos(angle) * IDENTITY_2 + 1j * np.sin(angle) * sigma)
 
 
-def validate_channel(ops, name: str = "channel") -> KrausChannel:
-    """Build a KrausChannel, surfacing completeness/shape violations."""
-    return KrausChannel(name, tuple(ops))
-
-
 # --- JSON wire format -------------------------------------------------------
 
 

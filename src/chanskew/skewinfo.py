@@ -55,10 +55,6 @@ class WeightedOperatorCache:
     tail: np.ndarray
     tail_is_identity: bool
 
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
-
 
 def weighted_ops(rho: DensityMatrix, params: SkewParams) -> WeightedOperatorCache:
     """Compute W = (1-gamma) rho^alpha + gamma rho^beta and the tail power."""

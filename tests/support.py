@@ -3,14 +3,16 @@
 The skew-information oracles are deliberately built on numpy.linalg
 (eigh, qr, norm) directly instead of the package's cache machinery, so
 the comparisons in the tests are genuine dual-route checks. The search
-oracle at the end evaluates every permutation tuple on its own, one K
-per operand, and is the reference the chunked table search must match
-bit for bit; the unitary oracle evaluates the three unitary bounds from
-their own formulas, and the search run on one-Kraus channels must match
-it bit for bit. Both share the package's K evaluator, since what they
-check is the search. The seeded qubit-state, parameter and unitary
-generators are the package's own (``chanskew.repro``), which ``selftest``
-uses.
+oracle evaluates every permutation tuple on its own, one K per operand,
+and is the reference the chunked table search must match bit for bit;
+the unitary oracle evaluates the three unitary bounds from their own
+formulas, and the search run on one-Kraus channels must match it bit for
+bit. Both share the package's K evaluator, since what they check is the
+search. The norm check at the end tests the three vector-norm
+inequalities the channel bounds rest on: it fills the package's K tables
+with squared vector norms and scores them with the package's scorer. The
+seeded qubit-state, parameter and unitary generators are the package's
+own (``chanskew.repro``), which ``selftest`` uses.
 """
 
 import numpy as np
@@ -19,9 +21,11 @@ from chanskew.bounds import (
     ARGMAX_MARGIN,
     BoundArgmax,
     BoundReport,
+    _KTables,
     _pair_index,
     _padded_kraus,
     _safe_sqrt,
+    _score_chunk,
     enumerate_tuples,
 )
 from chanskew.bounds import UnitaryBoundReport
@@ -131,6 +135,13 @@ def random_channel(rng, dim: int, n_ops: int, name: str = "random") -> KrausChan
     q, _ = np.linalg.qr(g)
     ops = tuple(q[k * dim : (k + 1) * dim, :] for k in range(n_ops))
     return KrausChannel(name, ops)
+
+
+def random_remix(rng, ch: KrausChannel) -> KrausChannel:
+    """The same channel as another Kraus set: F_j = sum_i V_ji E_i, V unitary."""
+    v = random_unitary(rng, len(ch.ops)).mat
+    ops = tuple(sum(v[j, i] * e for i, e in enumerate(ch.ops)) for j in range(len(ch.ops)))
+    return KrausChannel(f"{ch.name}_remixed", ops)
 
 
 # per-tuple search oracle
@@ -295,3 +306,47 @@ def oracle_unitary_bound_report(rho, unitaries, params):
         lb3=lb3,
         argmax_x=x,
     )
+
+
+# vector-norm inequalities the channel bounds rest on
+
+
+def norm_inequality_check(vectors, slack: float = 1e-9) -> tuple[bool | None, bool, bool]:
+    """Check the three vector-norm inequalities the channel bounds rest on.
+
+    For finite-dimensional complex vectors u_1..u_N and S = sum ||u_t||^2:
+
+    1. (N > 2)  S >= [sum_{t<s} ||u_t+u_s||^2
+                      - (sum_{t<s} ||u_t+u_s||)^2 / (N-1)^2] / (N-2)
+    2.          S >= ||sum u_t||^2 / N
+                      + 2 (sum_{t<s} ||u_t-u_s||)^2 / (N^2 (N-1))
+    3.          S >= [2 (sum ||u_t (+/-) u_s||)^2 / (N(N-1))
+                      + sum ||u_t (-/+) u_s||^2] / (2(N-1)), both sign choices
+
+    Returns (holds1, holds2, holds3) within ``slack``; holds1 is None when
+    N = 2.
+    """
+    us = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
+    big_n = len(us)
+    if big_n < 2:
+        raise ValueError(f"need at least 2 vectors, got {big_n}")
+    dim = us[0].size
+    for k, u in enumerate(us):
+        if u.size != dim:
+            raise ValueError(f"vector {k} has {u.size} components, expected {dim}")
+
+    def nsq(v):
+        return float(np.vdot(v, v).real)
+
+    pairs = _pair_index(big_n)
+    tables = _KTables(
+        kraus=np.array([nsq(u) for u in us]),
+        plus=np.array([nsq(us[t] + us[s]) for t, s in pairs]),
+        minus=np.array([nsq(us[t] - us[s]) for t, s in pairs]),
+        col=np.array([nsq(sum(us))]),
+    )
+    # the vectors are one-Kraus "channels": the single tuple, both variants
+    scored = _score_chunk(tables, np.zeros((1, big_n, 1), dtype=np.intp), (0, 1))
+    lhs = sum(tables.kraus.tolist()) + slack
+    holds1 = bool(lhs >= scored["lb1"][0]) if big_n > 2 else None
+    return holds1, bool(lhs >= scored["lb2"][0]), bool(np.all(lhs >= scored["lb3"]))

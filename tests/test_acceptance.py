@@ -12,7 +12,6 @@ import numpy as np
 from chanskew.bounds import (
     channel_bound_report,
     enumerate_tuples,
-    norm_inequality_check,
     tuple_bound_values,
     unitary_bound_report,
 )
@@ -29,6 +28,7 @@ from chanskew.skewinfo import SkewParams, skew_info_channel, skew_info_op, weigh
 
 from support import (
     direct_skew,
+    norm_inequality_check,
     random_channel,
     random_density,
     random_hermitian,

@@ -3,24 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanskew import bounds
 from chanskew.bounds import (
     channel_bound_report,
     enumerate_tuples,
-    norm_inequality_check,
     tuple_bound_values,
     unitary_bound_report,
 )
-from chanskew.quantum import IDENTITY_2, KrausChannel, UnitaryOp, validate_channel
-from chanskew.repro import damping_flip_channels, planar_bloch_state
+from chanskew.quantum import IDENTITY_2, KrausChannel, UnitaryOp
+from chanskew.repro import damping_flip_channels, planar_bloch_state, remixed_kraus
 from chanskew.skewinfo import SkewParams, skew_info_unitary, weighted_ops
 
 from support import (
+    norm_inequality_check,
     random_channel,
     random_density,
     random_params,
     random_qubit_state,
+    random_remix,
     random_unitary,
 )
 
@@ -113,7 +116,7 @@ class TestChannelBounds:
             assert getattr(rep, name) == pytest.approx(want, abs=5e-6), name
 
     def test_identity_channels_give_zero(self, rng):
-        ident = validate_channel([IDENTITY_2], name="id")
+        ident = KrausChannel("id", (IDENTITY_2,))
         rho = random_density(rng, 2)
         rep = channel_bound_report(rho, [ident, ident, ident], random_params(rng))
         for name in ("sum", "ob1", "ob2", "ob3", "lb1", "lb2", "lb3"):
@@ -271,6 +274,51 @@ class TestChannelBounds:
         assert set(data) == {"sum", "ob1", "ob2", "ob3", "lb1", "lb2", "lb3", "argmax"}
         assert data["argmax"]["lb3"]["x"] == 1
         assert all(len(p) == 2 for p in data["argmax"]["lb2"]["perms"])
+
+
+class TestKrausRepresentation:
+    """The sum is the same for every Kraus set of a channel; the bounds are not."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 3),
+        counts=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_sound_under_any_kraus_representation(self, seed, dim, counts):
+        # the proof bounds vector norms, so every Kraus set must be sound
+        rng = np.random.default_rng(seed)
+        channels = [random_remix(rng, random_channel(rng, dim, n)) for n in counts]
+        rep = channel_bound_report(random_density(rng, dim), channels, random_params(rng))
+        assert rep.soundness_violations() == []
+
+    def test_bound_ranges_over_remixed_table_channels(self):
+        # every channel of the q = 0.4, theta = pi/2 table row remixed at
+        # 0, pi/6, pi/3 and pi/2 (angle 0 is the standard set): 64 reports
+        rho, channels = table_config()
+        angles = [k * math.pi / 6 for k in range(4)]
+        reports = [
+            channel_bound_report(
+                rho, [remixed_kraus(ch, a) for ch, a in zip(channels, mix)], TABLE_PARAMS
+            )
+            for mix in itertools.product(angles, repeat=3)
+        ]
+        standard = channel_bound_report(rho, channels, TABLE_PARAMS)
+        for rep in reports:
+            assert rep.sum == pytest.approx(standard.sum, abs=1e-15)
+            assert rep.soundness_violations() == []
+        ranges = {"ob1": (0.2111, 0.2572), "lb1": (0.2015, 0.2226),
+                  "lb2": (0.2476, 0.2542), "lb3": (0.2441, 0.2542)}
+        for name, (low, high) in ranges.items():
+            values = [getattr(rep, name) for rep in reports]
+            assert min(values) == pytest.approx(low, abs=5e-5), name
+            assert max(values) == pytest.approx(high, abs=5e-5), name
+        # which bound is tightest depends on the representation
+        tightest = {
+            max(("ob1", "ob2", "ob3", "lb1", "lb2", "lb3"), key=lambda n: getattr(rep, n))
+            for rep in reports
+        }
+        assert tightest == {"ob1", "lb2", "lb3"}
 
 
 class TestUnitaryBounds:

@@ -2,91 +2,34 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from chanskew.cmatrix import (
-    adjoint,
-    as_cmatrix,
-    commutator,
-    eig_hermitian,
-    hs_norm_sq,
-    matrix_power,
-)
+from chanskew.cmatrix import as_cmatrix, eig_hermitian, matrix_power
 from chanskew.quantum import IDENTITY_2, PAULI_1, PAULI_2, PAULI_3
 
 from support import random_hermitian, random_density
 
 
-@st.composite
-def complex_matrices(draw, max_dim=4):
-    dim = draw(st.integers(1, max_dim))
-    finite = st.floats(-5.0, 5.0, allow_nan=False)
-    entries = st.lists(
-        st.lists(st.tuples(finite, finite), min_size=dim, max_size=dim),
-        min_size=dim,
-        max_size=dim,
-    )
-    rows = draw(entries)
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
 class TestArithmetic:
     def test_adjoint_pauli_is_hermitian(self):
-        np.testing.assert_array_equal(adjoint(PAULI_2), PAULI_2)
+        np.testing.assert_array_equal(PAULI_2.conj().T, PAULI_2)
 
     def test_pauli_involution(self):
         np.testing.assert_allclose(PAULI_1 @ PAULI_1, IDENTITY_2, atol=0)
 
-    @pytest.mark.parametrize("op", [commutator])
-    def test_dimension_mismatch_reports_both_dims(self, op):
-        with pytest.raises(ValueError, match="2x2 vs 3x3"):
-            op(IDENTITY_2, np.eye(3, dtype=complex))
-
     def test_as_cmatrix_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError, match="square"):
             as_cmatrix(np.ones((2, 3)))
-        with pytest.raises(ValueError, match="finite"):
-            as_cmatrix(np.array([[np.nan, 0], [0, 1]]))
+        # NaN and Inf, each alone in the real or in the imaginary part
+        for bad in (np.nan, np.inf, complex(0, np.nan), complex(0, np.inf)):
+            m = np.eye(2, dtype=complex)
+            m[0, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                as_cmatrix(m)
 
 
 class TestCommutator:
-    def test_identity_commutes(self, rng):
-        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        np.testing.assert_array_equal(commutator(np.eye(4, dtype=complex), x), np.zeros((4, 4)))
-
     def test_pauli_algebra(self):
-        np.testing.assert_allclose(commutator(PAULI_1, PAULI_2), 2j * PAULI_3, atol=1e-15)
-
-    def test_diagonal_with_flip(self):
-        # [diag(a, b), s1] = (a - b) * [[0, 1], [-1, 0]]
-        a, b = 1.7, -0.4
-        expected = (a - b) * np.array([[0, 1], [-1, 0]], dtype=complex)
-        np.testing.assert_allclose(commutator(np.diag([a, b]).astype(complex), PAULI_1), expected, atol=1e-15)
-
-    @given(complex_matrices(), complex_matrices())
-    @settings(max_examples=50, deadline=None)
-    def test_antisymmetry(self, x, y):
-        if x.shape != y.shape:
-            return
-        np.testing.assert_array_equal(commutator(x, y), -commutator(y, x))
-
-
-class TestHsNorm:
-    def test_zero(self):
-        assert hs_norm_sq(np.zeros((3, 3), dtype=complex)) == 0.0
-
-    def test_identity(self):
-        assert hs_norm_sq(np.eye(5, dtype=complex)) == pytest.approx(5.0, abs=0)
-
-    def test_pauli_combination(self):
-        # s1 + i s2 = [[0, 2], [0, 0]]
-        assert hs_norm_sq(PAULI_1 + 1j * PAULI_2) == pytest.approx(4.0, abs=1e-15)
-
-    @given(complex_matrices())
-    @settings(max_examples=50, deadline=None)
-    def test_adjoint_invariance(self, x):
-        assert abs(hs_norm_sq(x) - hs_norm_sq(adjoint(x))) <= 1e-12 * max(1.0, hs_norm_sq(x))
+        np.testing.assert_allclose(PAULI_1 @ PAULI_2 - PAULI_2 @ PAULI_1, 2j * PAULI_3, atol=1e-15)
 
 
 class TestEigHermitian:

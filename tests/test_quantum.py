@@ -11,6 +11,7 @@ from chanskew.quantum import (
     PAULI_1,
     PAULI_2,
     DensityMatrix,
+    KrausChannel,
     UnitaryOp,
     amplitude_damping,
     bit_flip,
@@ -20,7 +21,6 @@ from chanskew.quantum import (
     matrix_from_json,
     pauli_rotation,
     phase_damping,
-    validate_channel,
 )
 
 
@@ -132,22 +132,22 @@ class TestChannels:
 
 class TestValidateChannel:
     def test_identity_channel(self):
-        assert validate_channel([IDENTITY_2]).dim == 2
+        assert KrausChannel("id", (IDENTITY_2,)).dim == 2
 
     def test_pauli_pair(self):
-        validate_channel([PAULI_1 / math.sqrt(2), PAULI_2 / math.sqrt(2)])
+        KrausChannel("pauli", (PAULI_1 / math.sqrt(2), PAULI_2 / math.sqrt(2)))
 
     def test_double_identity_reports_deviation(self):
         with pytest.raises(ValueError, match="completeness.*1"):
-            validate_channel([IDENTITY_2, IDENTITY_2])
+            KrausChannel("double", (IDENTITY_2, IDENTITY_2))
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="expected 2x2"):
-            validate_channel([IDENTITY_2, np.eye(3, dtype=complex)])
+            KrausChannel("mixed", (IDENTITY_2, np.eye(3, dtype=complex)))
 
     def test_empty(self):
         with pytest.raises(ValueError, match="at least one"):
-            validate_channel([])
+            KrausChannel("empty", ())
 
 
 class TestPauliRotation:

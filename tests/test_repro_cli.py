@@ -261,3 +261,13 @@ class TestCli:
     def test_selftest_seed_changes_nothing_about_verdict(self, capsys):
         assert main(["selftest", "--trials", "5", "--seed", "123"]) == 0
         capsys.readouterr()
+
+
+def test_star_import_resolves_every_exported_name():
+    import chanskew
+
+    namespace = {}
+    exec("from chanskew import *", namespace)
+    assert len(set(chanskew.__all__)) == len(chanskew.__all__)
+    for name in chanskew.__all__:
+        assert namespace[name] is getattr(chanskew, name), name

@@ -123,7 +123,7 @@ def test_k_tables_are_bit_identical_to_single_operand_evaluation(monkeypatch):
     sizes = []
 
     def recording(cache, ops):
-        sizes.append((len(ops), cache.dim))
+        sizes.append((len(ops), cache.w.shape[0]))
         return batch(cache, ops)
 
     monkeypatch.setattr(bounds, "skew_batch", recording)
