@@ -5,9 +5,11 @@ from .bounds import (
     BoundReport,
     UnitaryBoundReport,
     channel_bound_report,
+    channel_bound_reports,
     enumerate_tuples,
     tuple_bound_values,
     unitary_bound_report,
+    unitary_bound_reports,
 )
 from .cmatrix import (
     ConvergenceError,
@@ -36,6 +38,7 @@ from .skewinfo import (
     skew_info_op,
     skew_info_unitary,
     skew_with_cache,
+    stacked_weighted_ops,
     weighted_ops,
 )
 
@@ -55,6 +58,7 @@ __all__ = [
     "bit_flip",
     "bloch_state",
     "channel_bound_report",
+    "channel_bound_reports",
     "channel_from_json",
     "channel_sweep",
     "density_matrix_from_json",
@@ -69,8 +73,10 @@ __all__ = [
     "skew_info_op",
     "skew_info_unitary",
     "skew_with_cache",
+    "stacked_weighted_ops",
     "tuple_bound_values",
     "unitary_bound_report",
+    "unitary_bound_reports",
     "unitary_sweep",
     "weighted_ops",
 ]

@@ -19,17 +19,25 @@ A unitary channel is the one-Kraus channel {U}, so the unitary bounds
 are lb1/lb2/lb3 of one-Kraus channels: the same search, over its single
 tuple, with lb3 maximized over both sign variants.
 
-The two reports are the API. One search scores every bound N allows,
-and channel_bound_report returns each value with its argmax tuple and
-sign variant: report.lb2, report.argmax["lb2"].perms and
+The reports are the API. One search scores every bound N allows, and
+channel_bound_report returns each value with its argmax tuple and sign
+variant: report.lb2, report.argmax["lb2"].perms and
 report.argmax["lb3"].x; unitary_bound_report records the lb3 variant as
-argmax_x. A state is decomposed once, when DensityMatrix validates it;
-every report reuses that spectrum.
+argmax_x. channel_bound_reports and unitary_bound_reports return the
+report of every state in a list, from one search over states that share
+the channels (or unitaries) and params, as a theta sweep does; the
+singular reports are the batch of one, and every report is bit-identical
+to the one its state would get alone. A state is decomposed once, when
+DensityMatrix validates it; every report reuses that spectrum.
 
-Every K a report reads (of the Kraus operators for the sum, of the pair
-sums and differences, and of the column sums) comes from one skew_batch
-call on one operand stack (sliced when it is long), made after the tuple
-count has passed the cap.
+The search is stacked over states: W and T of every state in one
+(S, d, d) stack (stacked_weighted_ops), K tables with a leading state
+axis, (state, tuple) rows scored SEARCH_CHUNK at a time, and the argmax
+rule run per state on all of them at once. A lone state, as in a single
+report, keeps its own weighted_ops cache and tables without a state axis. Every K a report reads (of
+the Kraus operators for the sum, of the pair sums and differences, and
+of the column sums) comes from skew_batch calls on one operand stack
+(sliced when it is long), made after the tuple count has passed the cap.
 """
 
 from __future__ import annotations
@@ -43,17 +51,24 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .quantum import DensityMatrix, KrausChannel, UnitaryOp
-from .skewinfo import SkewParams, WeightedOperatorCache, skew_batch, weighted_ops
+from .skewinfo import (
+    SkewParams,
+    WeightedOperatorCache,
+    skew_batch,
+    stacked_weighted_ops,
+    weighted_ops,
+)
 
 DEFAULT_TUPLE_CAP = 10**6
 SOUNDNESS_TOL = 1e-9
 SQRT_CLAMP_FLOOR = -1e-12
 # a later tuple replaces the argmax only if strictly better than this margin
 ARGMAX_MARGIN = 1e-12
-# tuples scored per vectorized step; bounds the gathered arrays to
-# SEARCH_CHUNK * P * n floats whatever the tuple count. The K tables are
-# evaluated SEARCH_CHUNK // d^2 operands of d x d at a time, which bounds
-# each temporary to SEARCH_CHUNK complex numbers.
+# (state, tuple) rows scored per vectorized step; bounds the gathered
+# arrays to SEARCH_CHUNK * P * n floats whatever the tuple or state count.
+# The K tables of S states are evaluated SEARCH_CHUNK // (S d^2) operands
+# (at least one) of d x d at a time, which bounds each temporary to
+# SEARCH_CHUNK complex numbers, or S d^2 when that is larger.
 SEARCH_CHUNK = 4096
 SIGN_VARIANT_DEFAULT = 1
 
@@ -201,26 +216,47 @@ class _Shape:
     pairs holds the channel pairs (t, s), t < s, in _pair_index order;
     pair_base the flat offset k * n * n of the k-th pair in plus and minus;
     radix the place values of (i_0, ..., i_{N-1}) in col; perms the n!
-    permutations of range(n) in lexicographic order.
+    permutations of range(n) in lexicographic order; tuples the Kraus
+    indices of every tuple, when there are at most _CACHED_TUPLES of them.
     """
 
     pairs: np.ndarray
     pair_base: np.ndarray
     radix: np.ndarray
     perms: np.ndarray
+    tuples: np.ndarray | None
+
+
+# a shape of at most this many tuples keeps them all, N * n integers each
+_CACHED_TUPLES = 4096
+
+
+def _kraus_indices(ids: np.ndarray, big_n: int, perms: np.ndarray) -> np.ndarray:
+    """Kraus indices of the tuples at positions ``ids`` in lexicographic order."""
+    n = perms.shape[1]
+    idx = np.empty((len(ids), big_n, n), dtype=np.intp)
+    idx[:, 0, :] = np.arange(n)
+    for t in range(big_n - 1, 0, -1):  # the last channel varies fastest
+        ids, digit = np.divmod(ids, len(perms))
+        idx[:, t, :] = perms[digit]
+    return idx
 
 
 @functools.lru_cache(maxsize=32)
 def _shape(big_n: int, n: int) -> _Shape:
     pairs = np.array(_pair_index(big_n), dtype=np.intp)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    count = math.factorial(n) ** (big_n - 1)
     shape = _Shape(
         pairs=pairs,
         pair_base=np.arange(len(pairs), dtype=np.intp)[:, None] * n * n,
         radix=n ** np.arange(big_n - 1, -1, -1, dtype=np.intp),
-        perms=np.array(list(itertools.permutations(range(n))), dtype=np.intp),
+        perms=perms,
+        tuples=_kraus_indices(np.arange(count), big_n, perms) if count <= _CACHED_TUPLES else None,
     )
     for arr in vars(shape).values():
-        arr.flags.writeable = False
+        if arr is not None:
+            arr.flags.writeable = False
     return shape
 
 
@@ -249,9 +285,11 @@ class _KTables:
     skew_batch. Each operand is built with the arithmetic a per-tuple
     evaluation uses (``et + es``, ``et - es``, the channels added left to
     right as ``sum()`` adds them), so every entry is bit-identical to
-    skew_with_cache of the operand it stands for. The norm-inequality
-    check in the test suite fills the same fields with squared vector
-    norms (one "Kraus index" per vector, col = [||sum u_t||^2]).
+    skew_with_cache of the operand it stands for. Tables of a stacked
+    cache put a state axis in front of each of these positions: row s
+    holds state s's values. The norm-inequality check in the test suite
+    fills the same fields with squared vector norms (one "Kraus index"
+    per vector, col = [||sum u_t||^2]).
     """
 
     kraus: np.ndarray
@@ -270,12 +308,14 @@ def _column_sums(ops: np.ndarray, radix: np.ndarray, lo: int, hi: int) -> np.nda
 
 
 def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _KTables:
-    """The K tables of padded Kraus lists, SEARCH_CHUNK // d^2 operands per batch.
+    """The K tables of padded Kraus lists, evaluated slice by slice.
 
     The operand stack is the Kraus operators, the plus and minus pair
     operands and the n^N column sums, in that order; column sums are built
     only for the slice being evaluated, so operand memory does not grow
-    with n^N.
+    with n^N. A slice holds SEARCH_CHUNK // d^2 operands (at least one).
+    A stacked cache of S states gives every table a leading state axis,
+    and a slice then holds SEARCH_CHUNK // (S d^2) operands (at least one).
     """
     ops = np.array(kraus)
     big_n, n, d = ops.shape[:3]
@@ -285,18 +325,23 @@ def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _K
     head = np.concatenate(
         [ops.reshape(-1, d, d), (left + right).reshape(-1, d, d), (left - right).reshape(-1, d, d)]
     )
-    k = np.empty(len(head) + n**big_n)
-    rows = max(1, SEARCH_CHUNK // (d * d))
-    for lo in range(0, len(k), rows):
-        hi = min(lo + rows, len(k))
+    k = np.empty(cache.w.shape[:-2] + (len(head) + n**big_n,))
+    rows = max(1, SEARCH_CHUNK // cache.w.size)
+    for lo in range(0, k.shape[-1], rows):
+        hi = min(lo + rows, k.shape[-1])
         part = head[lo:hi]
         if hi > len(head):
             cols = _column_sums(ops, shape.radix, max(lo - len(head), 0), hi - len(head))
             part = np.concatenate((part, cols))
-        k[lo:hi] = skew_batch(cache, part)
+        k[..., lo:hi] = skew_batch(cache, part)
     m = big_n * n
     p = len(shape.pairs) * n * n
-    return _KTables(kraus=k[:m], plus=k[m : m + p], minus=k[m + p : m + 2 * p], col=k[m + 2 * p :])
+    return _KTables(
+        kraus=k[..., :m],
+        plus=k[..., m : m + p],
+        minus=k[..., m + p : m + 2 * p],
+        col=k[..., m + 2 * p :],
+    )
 
 
 def _score_chunk(
@@ -305,12 +350,14 @@ def _score_chunk(
     """Bound values of a chunk of tuples, in the order a search offers them.
 
     ``idx`` holds the Kraus indices, idx[c, t, i] = perms[t][i] of the c-th
-    tuple. Every bound N allows is scored: lb1/ob1 (N > 2 only), lb2/ob2
-    with shape (C,), lb3/ob3 with shape (C, len(variants)). The per-tuple
-    formulas are evaluated in the same operation order on the gathered
-    (2, C, P, n) array of plus and minus terms; it is C-contiguous so that
-    numpy reduces the pair and Kraus axes in the same order as it does for
-    one tuple's (P, n) array.
+    tuple. Tables with a leading axis of S states score every state on
+    every tuple, in S * C rows ordered state by state. Every bound N
+    allows is scored: lb1/ob1 (N > 2 only), lb2/ob2 with one value per
+    row, lb3/ob3 with shape (rows, len(variants)). The per-tuple formulas
+    are evaluated in the same operation order on the gathered
+    (2, rows, P, n) array of plus and minus terms; it is C-contiguous so
+    that numpy reduces the pair and Kraus axes in the same order as it
+    does for one tuple's (P, n) array.
     """
     big_n, n = idx.shape[1:]
     shape = _shape(big_n, n)
@@ -318,7 +365,8 @@ def _score_chunk(
         shape.pair_base + idx[:, shape.pairs[:, 0], :] * n + idx[:, shape.pairs[:, 1], :]
     )
     # row 0 of total and of each spread holds the plus terms, row 1 the minus
-    k = np.ascontiguousarray(np.stack((tables.plus, tables.minus))[:, flat])
+    gathered = np.stack((tables.plus, tables.minus))[..., flat]
+    k = np.ascontiguousarray(gathered).reshape((2, -1) + flat.shape[1:])
     total = k.sum(axis=(2, 3))
     lb_spread = _scalar_square(_safe_sqrt(k.sum(axis=3)).sum(axis=2))
     ob_spread = (_safe_sqrt(k).sum(axis=2) ** 2).sum(axis=2)
@@ -327,11 +375,11 @@ def _score_chunk(
         out["lb1"] = (total[0] - lb_spread[0] / (big_n - 1) ** 2) / (big_n - 2)
         out["ob1"] = (total[0] - ob_spread[0] / (big_n - 1) ** 2) / (big_n - 2)
     col_idx = np.ascontiguousarray(shape.radix @ idx)
-    mean = np.ascontiguousarray(tables.col[col_idx]).sum(axis=1) / big_n
+    mean = np.ascontiguousarray(tables.col[..., col_idx]).reshape(-1, n).sum(axis=1) / big_n
     out["lb2"] = mean + 2.0 * lb_spread[1] / (big_n**2 * (big_n - 1))
     out["ob2"] = mean + 2.0 * ob_spread[1] / (big_n**2 * (big_n - 1))
     for name, spread in (("lb3", lb_spread), ("ob3", ob_spread)):
-        out[name] = np.empty((len(idx), len(variants)))
+        out[name] = np.empty((len(mean), len(variants)))
         for j, x in enumerate(variants):
             # variant 0: plus terms plain, minus terms under the roots
             plain, root = x, 1 - x
@@ -372,77 +420,171 @@ def tuple_bound_values(
     return values
 
 
-def _offer_chunk(best: dict, name: str, values: np.ndarray, first: int) -> None:
-    """Carry the running argmax over values offered in order.
+def _tuples_at(ids: np.ndarray, big_n: int, n: int) -> np.ndarray:
+    """Kraus indices of the tuples at positions ``ids`` in lexicographic order."""
+    shape = _shape(big_n, n)
+    if shape.tuples is not None:
+        return shape.tuples[ids]
+    return _kraus_indices(ids, big_n, shape.perms)
+
+
+def _sequential_best(values: np.ndarray) -> tuple[float, int]:
+    """The value and position the argmax rule keeps, one offer at a time.
+
+    A replacement is the first value above the current best plus the
+    margin, which is where the running maximum first exceeds that level.
+    """
+    running = np.maximum.accumulate(values)
+    pos = 0
+    while True:
+        nxt = int(running.searchsorted(values[pos] + ARGMAX_MARGIN, side="right"))
+        if nxt == len(values):
+            return values[pos], pos
+        pos = nxt
+
+
+def _first_best(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``values``, the value and position the argmax rule keeps.
 
     The rule is sequential: the first value offered is taken, and a later
     one replaces the best only if it exceeds it by more than ARGMAX_MARGIN.
-    A replacement is the first value above the current best plus the
-    margin, which is where the running maximum first exceeds that level.
-    ``first`` is the offer position of values[0]; best[name] holds
-    (value, position).
+    In a row whose values either equal its maximum or lie more than the
+    margin below it, the rule ends at the first maximum; every other row
+    is followed offer by offer.
     """
-    cur = best.get(name) or (float(values[0]), first)
-    running = np.maximum.accumulate(values)
-    while True:
-        j = int(running.searchsorted(cur[0] + ARGMAX_MARGIN, side="right"))
-        if j == len(values):
-            break
-        cur = (float(values[j]), first + j)
-    best[name] = cur
+    pos = values.argmax(axis=1)
+    top = values[np.arange(len(values)), pos]  # the value itself, signed zero included
+    level = top[:, None]
+    near = values + ARGMAX_MARGIN >= level  # true at each row's maximum
+    if np.count_nonzero(near) > len(values):
+        near &= values != level
+        for r in np.flatnonzero(near.any(axis=1)):
+            top[r], pos[r] = _sequential_best(values[r])
+    return top, pos
+
+
+def _offers(scored: dict[str, np.ndarray], states: int, width: int) -> np.ndarray:
+    """Every bound's offers in one scored chunk, one row per (bound, state).
+
+    A state offers its values tuple by tuple, ``width`` slots per tuple
+    (one per sign variant). A bound without sign variants fills the first
+    slot of each tuple and offers -inf in the others, which never replaces
+    a best, so one _first_best call serves every bound.
+    """
+    tuples = len(next(iter(scored.values()))) // states
+    block = np.full((len(scored), states, tuples, width), -np.inf)
+    for j, values in enumerate(scored.values()):
+        block[j, :, :, : values.size // (states * tuples)] = values.reshape(states, tuples, -1)
+    return block.reshape(len(scored) * states, tuples * width)
+
+
+def _offer(
+    best: tuple[np.ndarray, np.ndarray] | None, rows: np.ndarray, first: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best (value, offer position) after offering ``rows``.
+
+    rows[:, 0] is offer position ``first``. The best so far is offered
+    again ahead of the chunk, so a value that does not beat it by the
+    margin leaves it in place; ``best`` is None before the first chunk.
+    """
+    if best is None:
+        top, pos = _first_best(rows)
+        return top, first + pos
+    value, at = best
+    top, pos = _first_best(np.concatenate((value[:, None], rows), axis=1))
+    return top, np.where(pos == 0, at, first + pos - 1)
 
 
 def _search_bounds(
-    cache: WeightedOperatorCache,
+    states: Sequence[DensityMatrix],
     kraus: list[list[np.ndarray]],
+    params: SkewParams,
     cap: int,
     sign_variant: int | None,
-) -> tuple[float, dict[str, tuple[float, PermTuple, int | None]]]:
-    """The exact sum, and every bound N allows maximized over one enumeration.
+) -> list[tuple[float, dict[str, tuple[float, PermTuple, int | None]]]]:
+    """Per state, the exact sum and every bound N allows, maximized over one enumeration.
 
-    ``kraus`` holds N equally long Kraus lists of the state's dimension.
-    The tuple count is checked against ``cap`` before any K is evaluated.
-    Tuples are scored in lexicographic order, SEARCH_CHUNK at a time, from
-    K tables built once; the result is bit-identical to evaluating every
-    tuple on its own, including which tuple wins a tie.
+    ``kraus`` holds N equally long Kraus lists of one dimension. The tuple
+    count is checked against ``cap`` before any K is evaluated. States are
+    scored in groups that share K tables and chunks: a group holds at most
+    SEARCH_CHUNK // count states, so a chunk holds at most SEARCH_CHUNK
+    (state, tuple) rows; a search of SEARCH_CHUNK tuples or more runs one
+    state at a time, chunk after chunk. Tuples are scored in lexicographic
+    order; the result is bit-identical to evaluating every tuple of every
+    state on its own, including which tuple wins a tie.
     """
-    big_n = len(kraus)
-    n = len(kraus[0])
+    big_n, n, dim = len(kraus), len(kraus[0]), len(kraus[0][0])
     if sign_variant not in (None, 0, 1):
         raise ValueError(f"sign_variant must be 0, 1 or None, got {sign_variant}")
     count = _tuple_count(n, big_n, cap)
+    for k, rho in enumerate(states):
+        if rho.dim != dim:
+            raise ValueError(f"state {k} has dim {rho.dim}, the operators have dim {dim}")
     variants = (0, 1) if sign_variant is None else (sign_variant,)
-    tables = _k_tables(cache, kraus)
-    # Python's sum, not np.sum: the sum of the K values in order, one at a time
-    total = sum(tables.kraus.tolist())
-    perm_arr = _shape(big_n, n).perms
+    group = max(1, SEARCH_CHUNK // count)
+    step = min(count, SEARCH_CHUNK)
+    out = []
+    for g in range(0, len(states), group):
+        part = states[g : g + group]
+        # a lone state keeps its own (d, d) cache, which gives the same bits
+        # as a stack of one; at d = 16 the stacked products cost up to a
+        # quarter more per report in some runs
+        if len(part) == 1:
+            cache = weighted_ops(part[0], params)
+        else:
+            cache = stacked_weighted_ops(part, params)
+        tables = _k_tables(cache, kraus)
+        best = None  # (value, offer position) per (bound, state) row
+        for lo in range(0, count, step):
+            idx = _tuples_at(np.arange(lo, min(lo + step, count)), big_n, n)
+            scored = _score_chunk(tables, idx, variants)
+            best = _offer(best, _offers(scored, len(part), len(variants)), lo * len(variants))
+        names = list(scored)
+        entries = []  # (state, bound, value, tuple position, sign variant)
+        for row, (v, p) in enumerate(zip(*(a.tolist() for a in best))):
+            name = names[row // len(part)]
+            tuple_id, slot = divmod(p, len(variants))
+            x = variants[slot] if name in ("lb3", "ob3") else None
+            entries.append((row % len(part), name, v, tuple_id, x))
+        # each winning tuple of the group decoded once, all in one call
+        ids = sorted({e[3] for e in entries})
+        winners = _tuples_at(np.array(ids), big_n, n).tolist()
+        perms = dict(zip(ids, (tuple(map(tuple, w)) for w in winners)))
+        found: list[dict] = [{} for _ in part]
+        for s, name, v, tuple_id, x in entries:
+            found[s][name] = (v, perms[tuple_id], x)
+        # Python's sum, not np.sum: the sum of the K values in order, one at a time
+        sums = tables.kraus.reshape(len(part), -1).tolist()
+        out += [(sum(terms), f) for terms, f in zip(sums, found)]
+    return out
 
-    def tuples_at(ids: np.ndarray) -> np.ndarray:
-        """Kraus indices of the tuples at positions ``ids`` in lexicographic order."""
-        idx = np.empty((len(ids), big_n, n), dtype=np.intp)
-        idx[:, 0, :] = np.arange(n)
-        for t in range(big_n - 1, 0, -1):  # the last channel varies fastest
-            ids, digit = np.divmod(ids, len(perm_arr))
-            idx[:, t, :] = perm_arr[digit]
-        return idx
 
-    best: dict[str, tuple[float, int]] = {}
-    for lo in range(0, count, SEARCH_CHUNK):
-        idx = tuples_at(np.arange(lo, min(lo + SEARCH_CHUNK, count)))
-        for name, values in _score_chunk(tables, idx, variants).items():
-            per_tuple = values.size // len(idx)
-            _offer_chunk(best, name, values.ravel(), lo * per_tuple)
+def channel_bound_reports(
+    states: Sequence[DensityMatrix],
+    channels: Sequence[KrausChannel],
+    params: SkewParams,
+    cap: int = DEFAULT_TUPLE_CAP,
+    sign_variant: int | None = SIGN_VARIANT_DEFAULT,
+) -> list[BoundReport]:
+    """channel_bound_report of every state, from one stacked search.
 
-    found = {}
-    for name, (value, position) in best.items():
-        xs = variants if name in ("lb3", "ob3") else (None,)
-        tuple_id, slot = divmod(position, len(xs))
-        found[name] = (value, tuple_id, xs[slot])
-    winners = tuples_at(np.array([tuple_id for _, tuple_id, _ in found.values()])).tolist()
-    return total, {
-        name: (value, tuple(map(tuple, perms)), x)
-        for (name, (value, _, x)), perms in zip(found.items(), winners)
-    }
+    The states share the channels and params; ``cap`` counts the tuples
+    of one state's search. An empty list of states gives [].
+    """
+    found_per_state = _search_bounds(states, _padded_kraus(channels), params, cap, sign_variant)
+    return [
+        BoundReport(
+            sum=total,
+            ob1=found["ob1"][0] if "ob1" in found else None,
+            ob2=found["ob2"][0],
+            ob3=found["ob3"][0],
+            lb1=found["lb1"][0] if "lb1" in found else None,
+            lb2=found["lb2"][0],
+            lb3=found["lb3"][0],
+            argmax={name: BoundArgmax(perms=perms, x=x) for name, (_, perms, x) in found.items()},
+        )
+        for total, found in found_per_state
+    ]
 
 
 def channel_bound_report(
@@ -452,48 +594,41 @@ def channel_bound_report(
     cap: int = DEFAULT_TUPLE_CAP,
     sign_variant: int | None = SIGN_VARIANT_DEFAULT,
 ) -> BoundReport:
-    """Exact sum and all six bounds, sharing one cache and one enumeration."""
-    for ch in channels:
-        if ch.dim != rho.dim:
-            raise ValueError(
-                f"channel '{ch.name}' dim {ch.dim} does not match state dim {rho.dim}"
-            )
-    kraus = _padded_kraus(channels)
-    cache = weighted_ops(rho, params)
-    total, found = _search_bounds(cache, kraus, cap, sign_variant)
-    argmax = {
-        name: BoundArgmax(perms=found[name][1], x=found[name][2]) for name in found
-    }
-    return BoundReport(
-        sum=total,
-        ob1=found["ob1"][0] if "ob1" in found else None,
-        ob2=found["ob2"][0],
-        ob3=found["ob3"][0],
-        lb1=found["lb1"][0] if "lb1" in found else None,
-        lb2=found["lb2"][0],
-        lb3=found["lb3"][0],
-        argmax=argmax,
-    )
+    """Exact sum and all six bounds of one state: the batch of one."""
+    return channel_bound_reports([rho], channels, params, cap, sign_variant)[0]
 
 
 # --- unitary channels: one-Kraus channels, so a single tuple -----------------
 
 
-def unitary_bound_report(
-    rho: DensityMatrix, unitaries: Sequence[UnitaryOp], params: SkewParams
-) -> UnitaryBoundReport:
-    """Exact sum plus the three unitary bounds, from one shared cache."""
+def unitary_bound_reports(
+    states: Sequence[DensityMatrix], unitaries: Sequence[UnitaryOp], params: SkewParams
+) -> list[UnitaryBoundReport]:
+    """unitary_bound_report of every state, from one stacked search.
+
+    The states share the unitaries and params. An empty list of states
+    gives [].
+    """
     if len(unitaries) < 2:
         raise ValueError(f"need at least 2 unitaries, got {len(unitaries)}")
     for k, u in enumerate(unitaries):
-        if u.dim != rho.dim:
-            raise ValueError(f"unitary {k} dim {u.dim} does not match state dim {rho.dim}")
-    cache = weighted_ops(rho, params)
-    total, found = _search_bounds(cache, [[u.mat] for u in unitaries], 1, None)
-    return UnitaryBoundReport(
-        sum=total,
-        lb1=found["lb1"][0] if "lb1" in found else None,
-        lb2=found["lb2"][0],
-        lb3=found["lb3"][0],
-        argmax_x=found["lb3"][2],
-    )
+        if u.dim != unitaries[0].dim:
+            raise ValueError(f"unitary {k} has dim {u.dim}, unitary 0 has dim {unitaries[0].dim}")
+    found_per_state = _search_bounds(states, [[u.mat] for u in unitaries], params, 1, None)
+    return [
+        UnitaryBoundReport(
+            sum=total,
+            lb1=found["lb1"][0] if "lb1" in found else None,
+            lb2=found["lb2"][0],
+            lb3=found["lb3"][0],
+            argmax_x=found["lb3"][2],
+        )
+        for total, found in found_per_state
+    ]
+
+
+def unitary_bound_report(
+    rho: DensityMatrix, unitaries: Sequence[UnitaryOp], params: SkewParams
+) -> UnitaryBoundReport:
+    """Exact sum plus the three unitary bounds of one state: the batch of one."""
+    return unitary_bound_reports([rho], unitaries, params)[0]

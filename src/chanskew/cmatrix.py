@@ -74,10 +74,17 @@ def clamp_psd_eigenvalues(lams: np.ndarray) -> np.ndarray:
 
 
 def spectral_power(lams: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
-    """vecs diag(lams^p) vecs^H; p = 0 gives the identity exactly."""
+    """vecs diag(lams^p) vecs^H; p = 0 gives the identity exactly.
+
+    ``lams`` and ``vecs`` may carry leading stack axes, (..., d) and
+    (..., d, d); each matrix of the stack is computed as the unstacked
+    call computes it.
+    """
     if p == 0.0:
-        return np.eye(len(lams), dtype=np.complex128)
-    return (vecs * lams**p) @ vecs.conj().T
+        eye = np.empty(vecs.shape, dtype=np.complex128)
+        eye[...] = np.eye(lams.shape[-1])
+        return eye
+    return (vecs * (lams**p)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def matrix_power(mat: np.ndarray, p: float) -> np.ndarray:

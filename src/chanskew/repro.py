@@ -24,7 +24,8 @@ from .bounds import (
     BoundReport,
     UnitaryBoundReport,
     channel_bound_report,
-    unitary_bound_report,
+    channel_bound_reports,
+    unitary_bound_reports,
 )
 from .quantum import (
     KrausChannel,
@@ -169,30 +170,33 @@ def _abort_on_violations(kind: str, theta: float, violations: list[str]) -> None
         raise RuntimeError(f"{kind} sweep soundness violation at theta={theta!r}: {detail}")
 
 
-def channel_sweep(cfg: SweepConfig, cap: int = DEFAULT_TUPLE_CAP) -> list[tuple[float, BoundReport]]:
-    """Bound reports over the theta grid; every row is soundness-checked."""
+def _checked_rows(kind: str, thetas, reports) -> list:
+    """(theta, report) rows; raises at the first theta whose report is unsound."""
     out = []
-    channels = damping_flip_channels(cfg.q)
-    for theta in cfg.grid():
-        rho = planar_bloch_state(theta, cfg.bloch_radius)
-        report = channel_bound_report(rho, channels, cfg.params, cap=cap)
-        _abort_on_violations("channel", theta, report.soundness_violations())
+    for theta, report in zip(thetas, reports):
+        _abort_on_violations(kind, theta, report.soundness_violations())
         out.append((float(theta), report))
     return out
+
+
+def channel_sweep(
+    cfg: SweepConfig, cap: int = DEFAULT_TUPLE_CAP
+) -> list[tuple[float, BoundReport]]:
+    """Bound reports over the theta grid, from one search; every row is soundness-checked."""
+    thetas = cfg.grid()
+    states = [planar_bloch_state(theta, cfg.bloch_radius) for theta in thetas]
+    reports = channel_bound_reports(states, damping_flip_channels(cfg.q), cfg.params, cap=cap)
+    return _checked_rows("channel", thetas, reports)
 
 
 def unitary_sweep(
     cfg: SweepConfig, printed_u3: bool = False
 ) -> list[tuple[float, UnitaryBoundReport]]:
-    """Unitary bound reports over the theta grid, soundness-checked."""
-    out = []
-    unitaries = eighth_turn_unitaries(printed_u3)
-    for theta in cfg.grid():
-        rho = planar_bloch_state(theta, cfg.bloch_radius)
-        report = unitary_bound_report(rho, unitaries, cfg.params)
-        _abort_on_violations("unitary", theta, report.soundness_violations())
-        out.append((float(theta), report))
-    return out
+    """Unitary bound reports over the theta grid, from one search, soundness-checked."""
+    thetas = cfg.grid()
+    states = [planar_bloch_state(theta, cfg.bloch_radius) for theta in thetas]
+    reports = unitary_bound_reports(states, eighth_turn_unitaries(printed_u3), cfg.params)
+    return _checked_rows("unitary", thetas, reports)
 
 
 def lb3_tightest_fraction(rows: Sequence[tuple[float, UnitaryBoundReport]]) -> float:
@@ -206,11 +210,12 @@ def lb3_tightest_fraction(rows: Sequence[tuple[float, UnitaryBoundReport]]) -> f
 
 
 def table1_reports(cap: int = DEFAULT_TUPLE_CAP) -> list[tuple[str, BoundReport]]:
-    """The four benchmark rows at q = 0.4."""
-    return [
-        (label, channel_config_report(TABLE1_Q, theta, cap=cap))
-        for label, theta in TABLE1_THETAS
-    ]
+    """The four benchmark rows at q = 0.4, from one search."""
+    states = [planar_bloch_state(theta, CHANNEL_BLOCH_RADIUS) for _, theta in TABLE1_THETAS]
+    reports = channel_bound_reports(
+        states, damping_flip_channels(TABLE1_Q), DEFAULT_PARAMS, cap=cap
+    )
+    return [(label, report) for (label, _), report in zip(TABLE1_THETAS, reports)]
 
 
 def compare_report(

@@ -17,6 +17,7 @@ K over its Kraus operators; a unitary channel's is K of its unitary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +49,9 @@ class WeightedOperatorCache:
 
     Built from the spectrum rho's validation computed (no further
     eigendecomposition) and shared across all operator evaluations (the
-    permutation search re-evaluates K heavily).
+    permutation search re-evaluates K heavily). A stacked cache
+    (stacked_weighted_ops) holds the (S, d, d) arrays of S states that
+    share the params.
     """
 
     w: np.ndarray
@@ -56,15 +59,31 @@ class WeightedOperatorCache:
     tail_is_identity: bool
 
 
-def weighted_ops(rho: DensityMatrix, params: SkewParams) -> WeightedOperatorCache:
-    """Compute W = (1-gamma) rho^alpha + gamma rho^beta and the tail power."""
-    lams, vecs = rho.spectrum
+def _weighted(lams: np.ndarray, vecs: np.ndarray, params: SkewParams) -> WeightedOperatorCache:
     ra = spectral_power(lams, vecs, params.alpha)
     rb = spectral_power(lams, vecs, params.beta)
     w = (1.0 - params.gamma) * ra + params.gamma * rb
     tail_exp = (1.0 - params.alpha - params.beta) / 2.0
     tail = spectral_power(lams, vecs, tail_exp)
     return WeightedOperatorCache(w=w, tail=tail, tail_is_identity=tail_exp == 0.0)
+
+
+def weighted_ops(rho: DensityMatrix, params: SkewParams) -> WeightedOperatorCache:
+    """Compute W = (1-gamma) rho^alpha + gamma rho^beta and the tail power."""
+    return _weighted(*rho.spectrum, params)
+
+
+def stacked_weighted_ops(
+    states: Sequence[DensityMatrix], params: SkewParams
+) -> WeightedOperatorCache:
+    """W and the tail power of every state, as (S, d, d) stacks.
+
+    Entry k equals weighted_ops(states[k], params) bit for bit: the same
+    spectral powers, evaluated on the stacked spectra.
+    """
+    lams = np.array([rho.spectrum.eigenvalues for rho in states])
+    vecs = np.array([rho.spectrum.eigenvectors for rho in states])
+    return _weighted(lams, vecs, params)
 
 
 def skew_with_cache(cache: WeightedOperatorCache, e: np.ndarray) -> float:
@@ -83,20 +102,24 @@ def skew_with_cache(cache: WeightedOperatorCache, e: np.ndarray) -> float:
 def skew_batch(cache: WeightedOperatorCache, ops: np.ndarray) -> np.ndarray:
     """K of every operator in an (M, d, d) stack, as an (M,) float array.
 
+    A stacked cache of S states gives an (S, M) array, row k for state k.
     Each value equals skew_with_cache of that (C-contiguous) operator bit
     for bit, which the tests pin: the stacked products round as the single
     ones do, and each row is reduced by the stacked conj(row) @ row
     product, which rounds as np.vdot does (np.einsum and an explicit
     re^2 + im^2 sum do not).
     """
-    w = cache.w
-    if ops.shape[1:] != w.shape:
-        raise ValueError(f"operators are {ops.shape[1:]}, state is {w.shape}")
+    w, tail = cache.w, cache.tail
+    d = w.shape[-1]
+    if ops.shape[1:] != w.shape[-2:]:
+        raise ValueError(f"operators are {ops.shape[1:]}, state is {w.shape[-2:]}")
+    if w.ndim == 3:  # one (M, d, d) block of products per state
+        w, tail = w[:, None], tail[:, None]
     c = w @ ops - ops @ w
     if not cache.tail_is_identity:
-        c = c @ cache.tail
-    rows = c.reshape(len(ops), 1, w.size)
-    return 0.5 * np.matmul(rows.conj(), rows.transpose(0, 2, 1))[:, 0, 0].real
+        c = c @ tail
+    rows = c.reshape(c.shape[:-2] + (1, d * d))
+    return 0.5 * np.matmul(rows.conj(), rows.swapaxes(-1, -2))[..., 0, 0].real
 
 
 def skew_info_op(rho: DensityMatrix, e: np.ndarray, params: SkewParams) -> float:

@@ -1,21 +1,27 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from chanskew import cli, cmatrix
+from chanskew import cli, cmatrix, repro
+from chanskew.bounds import channel_bound_report, unitary_bound_report
 from chanskew.cli import main
 from chanskew.repro import (
     Q02_REFERENCE,
     SweepConfig,
     TABLE1_REFERENCE,
+    TABLE1_THETAS,
+    channel_config_report,
     channel_rows_to_csv,
     channel_sweep,
     compare_report,
     damping_flip_channels,
+    eighth_turn_unitaries,
     lb3_tightest_fraction,
     phase_damping_demo_values,
+    planar_bloch_state,
     remixed_kraus,
     table1_reports,
     unitary_rows_to_csv,
@@ -97,6 +103,49 @@ class TestSweeps:
     def test_table_reports_match_reference(self):
         for label, rep in table1_reports():
             assert not compare_report(rep, TABLE1_REFERENCE[label]), label
+
+    def test_sweeps_and_table_equal_one_report_per_state(self):
+        # the sweeps and table1 score all their states in one search; each
+        # row must be the report of its own state
+        cfg = small_config(steps=7)
+        channels = damping_flip_channels(cfg.q)
+        states = [planar_bloch_state(theta, cfg.bloch_radius) for theta in cfg.grid()]
+        assert channel_sweep(cfg) == [
+            (float(theta), channel_bound_report(rho, channels, PARAMS))
+            for theta, rho in zip(cfg.grid(), states)
+        ]
+        ucfg = small_config(steps=7, bloch_radius=math.sqrt(2) / 2)
+        states = [planar_bloch_state(theta, ucfg.bloch_radius) for theta in ucfg.grid()]
+        for printed in (False, True):
+            unitaries = eighth_turn_unitaries(printed)
+            assert unitary_sweep(ucfg, printed_u3=printed) == [
+                (float(theta), unitary_bound_report(rho, unitaries, PARAMS))
+                for theta, rho in zip(ucfg.grid(), states)
+            ]
+        assert table1_reports() == [
+            (label, channel_config_report(0.4, theta)) for label, theta in TABLE1_THETAS
+        ]
+
+    @pytest.mark.parametrize("kind", ["channel", "unitary"])
+    def test_sweep_raises_at_first_unsound_theta(self, monkeypatch, kind):
+        # the reports come from one call; the sweep still names the first
+        # theta, in grid order, whose report violates soundness
+        name = f"{kind}_bound_reports"
+        plural = getattr(repro, name)
+
+        def unsound_at_2_and_4(states, *args, **kwargs):
+            reports = plural(states, *args, **kwargs)
+            for k in (4, 2):
+                reports[k] = dataclasses.replace(reports[k], lb2=reports[k].sum + 1.0)
+            return reports
+
+        monkeypatch.setattr(repro, name, unsound_at_2_and_4)
+        cfg = small_config(steps=7)
+        sweep = channel_sweep if kind == "channel" else unitary_sweep
+        with pytest.raises(RuntimeError, match=rf"{kind} sweep soundness violation") as err:
+            sweep(cfg)
+        assert f"theta={cfg.grid()[2]!r}:" in str(err.value)
+        assert "lb2 = " in str(err.value)
 
     def test_remix_demo_reports_equal_values(self):
         base, remixed = phase_damping_demo_values()

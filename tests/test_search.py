@@ -5,6 +5,7 @@ values and argmax tuples of evaluating every tuple on its own, and, run on
 one-Kraus channels, the unitary bounds computed from their own formulas.
 """
 
+import functools
 import itertools
 import math
 
@@ -14,9 +15,11 @@ import pytest
 from chanskew import bounds, skewinfo
 from chanskew.bounds import (
     channel_bound_report,
+    channel_bound_reports,
     enumerate_tuples,
     tuple_bound_values,
     unitary_bound_report,
+    unitary_bound_reports,
 )
 from chanskew.quantum import KrausChannel
 from chanskew.repro import DEFAULT_PARAMS, eighth_turn_unitaries, planar_bloch_state
@@ -77,6 +80,52 @@ def test_report_is_bit_identical_to_per_tuple_oracle(monkeypatch, chunk):
         got = channel_bound_report(rho, channels, params, sign_variant=sign_variant)
         want = oracle_channel_bound_report(rho, channels, params, sign_variant=sign_variant)
         assert got.to_json_dict() == want.to_json_dict(), label
+
+
+@functools.lru_cache(maxsize=None)
+def batch_cases():
+    """configs() shapes as batches of 1 to 9 states that share channels,
+    params and sign variant, with the oracle report of every state."""
+    rng = np.random.default_rng(16)
+    cases = []
+    for k, (label, (rho, channels, params)) in enumerate(configs(seed=17, count=7)):
+        states = [rho] + [random_density(rng, label[0]) for _ in range(k % 9)]
+        want = [
+            oracle_channel_bound_report(state, channels, params, label[2]).to_json_dict()
+            for state in states
+        ]
+        cases.append((label, states, channels, params, want))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 3, 7])
+def test_batch_is_bit_identical_to_per_state_oracle(monkeypatch, chunk):
+    # a chunk of 3 or 7 rows splits a batch into groups of SEARCH_CHUNK // count
+    # states, and a longer search into chunks of one state's tuples
+    if chunk is not None:
+        monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
+    for label, states, channels, params, want in batch_cases():
+        got = channel_bound_reports(states, channels, params, sign_variant=label[2])
+        assert [report.to_json_dict() for report in got] == want, label
+
+
+@pytest.mark.parametrize("chunk", [None, 3, 7])
+def test_batch_all_ties_keep_the_identity_tuple(monkeypatch, rng, chunk):
+    # identical Kraus operators make every tuple score exactly the same for
+    # every state, so each state's argmax stays on the first tuple offered
+    if chunk is not None:
+        monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
+    u = random_unitary(rng, 3).mat
+    channel = KrausChannel("flat", tuple(u / math.sqrt(3) for _ in range(3)))
+    states = [random_density(rng, 3) for _ in range(5)]
+    params = random_params(rng)
+    reports = channel_bound_reports(states, [channel] * 3, params, sign_variant=None)
+    identity = ((0, 1, 2),) * 3
+    for rho, report in zip(states, reports):
+        assert report.to_json_dict() == oracle_channel_bound_report(
+            rho, [channel] * 3, params, sign_variant=None
+        ).to_json_dict()
+        assert {argmax.perms for argmax in report.argmax.values()} == {identity}
 
 
 def test_tuple_values_are_bit_identical_to_oracle():
@@ -188,6 +237,58 @@ def test_chunks_cover_every_tuple_once(monkeypatch, rng):
     assert scored == list(enumerate_tuples(3, 3))
 
 
+def sequential_rule(row):
+    """The argmax rule offer by offer: a later value must beat the best by the margin."""
+    best, at = row[0], 0
+    for j, value in enumerate(row):
+        if value > best + bounds.ARGMAX_MARGIN:
+            best, at = value, j
+    return best, at
+
+
+def test_first_best_follows_the_sequential_rule(rng):
+    # values a fraction of the margin apart, exact ties and both signed
+    # zeros, so that most rows take the offer-by-offer path
+    levels = np.array([0.0, -0.0, 0.4e-12, 0.9e-12, 1e-12, 1.1e-12, 2.5e-12, 1.0, 1.0 + 1e-12])
+    for length in (1, 2, 3, 5, 8, 40):
+        rows = rng.choice(levels, size=(300, length))
+        top, pos = bounds._first_best(rows)
+        for row, value, at in zip(rows.tolist(), top.tolist(), pos.tolist()):
+            want = sequential_rule(row)
+            assert (value, at) == want, row
+            assert math.copysign(1.0, value) == math.copysign(1.0, want[0]), row
+
+
+def test_offers_keep_each_bounds_own_rule(rng):
+    # a bound without sign variants is padded to two slots per tuple; the
+    # padding must never win, also against negative values, and a chunked
+    # offer must carry each row's best into the next chunk
+    states, tuples = 3, 6
+    levels = np.array([-2.0, -1.0, -1.0 + 0.5e-12, 0.0, -0.0, 1.0])
+    for _ in range(100):
+        scored = {
+            "lb2": rng.choice(levels, size=states * tuples),
+            "lb3": rng.choice(levels, size=(states * tuples, 2)),
+        }
+        whole = bounds._offer(None, bounds._offers(scored, states, 2), 0)
+        chunked = None
+        for lo, hi in ((0, 2), (2, 5), (5, 6)):
+            part = {
+                name: values.reshape(states, tuples, -1)[:, lo:hi].reshape(states * (hi - lo), -1)
+                for name, values in scored.items()
+            }
+            part["lb2"] = part["lb2"][:, 0]
+            chunked = bounds._offer(chunked, bounds._offers(part, states, 2), lo * 2)
+        for j, (name, values) in enumerate(scored.items()):
+            for s in range(states):
+                offered = values.reshape(states, -1)[s].tolist()
+                value, at = sequential_rule(offered)
+                if name == "lb2":
+                    at *= 2  # one offer per tuple, in the first of its two slots
+                for top, pos in (whole, chunked):
+                    assert (top[j * states + s], pos[j * states + s]) == (value, at), name
+
+
 def test_scalar_square_matches_numpy_scalar_power():
     # the per-tuple formulas square numpy float64 scalars; that calls the C
     # library's pow, which rounds differently from v * v on some inputs
@@ -230,3 +331,57 @@ def test_unitary_bounds_are_bit_identical_to_formula_oracle():
     for rho, unitaries, params in unitary_configs(seed=14, count=60):
         want = oracle_unitary_bound_report(rho, unitaries, params)
         assert unitary_bound_report(rho, unitaries, params) == want
+
+
+@pytest.mark.parametrize("chunk", [None, 3, 7])
+def test_unitary_batch_is_bit_identical_to_formula_oracle(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
+    rng = np.random.default_rng(18)
+    for k in range(12):
+        dim = int(rng.choice([2, 3, 4, 16]))
+        unitaries = [random_unitary(rng, dim) for _ in range(int(rng.integers(2, 6)))]
+        states = [random_density(rng, dim) for _ in range(1 + k % 9)]
+        params = random_params(rng)
+        want = [oracle_unitary_bound_report(rho, unitaries, params) for rho in states]
+        assert unitary_bound_reports(states, unitaries, params) == want, (dim, len(states))
+    # the sweep configuration: planar states over a theta grid
+    thetas = np.linspace(0.0, math.pi, 13)
+    states = [planar_bloch_state(theta, math.sqrt(2.0) / 2.0) for theta in thetas]
+    for printed_u3 in (False, True):
+        unitaries = eighth_turn_unitaries(printed_u3)
+        want = [oracle_unitary_bound_report(rho, unitaries, DEFAULT_PARAMS) for rho in states]
+        assert unitary_bound_reports(states, unitaries, DEFAULT_PARAMS) == want
+
+
+@pytest.mark.parametrize(
+    "chunk,counts", [(5, (2, 2, 2)), (5, (3, 3, 2)), (9, (2, 2)), (4, (1, 1, 1))]
+)
+def test_batch_chunks_hold_at_most_search_chunk_rows(monkeypatch, rng, chunk, counts):
+    # a group holds SEARCH_CHUNK // count states (at least one), so a chunk
+    # scores at most SEARCH_CHUNK (state, tuple) rows; each group scores
+    # every tuple once, in order, and each state is in one group
+    seen = []
+    score = bounds._score_chunk
+
+    def recording(tables, idx, variants):
+        # a lone state's tables have no state axis
+        seen.append((len(tables.col) if tables.col.ndim == 2 else 1, idx.copy()))
+        return score(tables, idx, variants)
+
+    monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
+    monkeypatch.setattr(bounds, "_score_chunk", recording)
+    rho, channels, params = random_config(rng, 2, counts)
+    states = [rho] + [random_density(rng, 2) for _ in range(6)]
+    channel_bound_reports(states, channels, params)
+    tuples = list(enumerate_tuples(max(counts), len(counts)))
+    groups = []
+    for size, idx in seen:
+        assert size * len(idx) <= chunk
+        perms = [tuple(map(tuple, p)) for p in idx.tolist()]
+        if perms[0] == tuples[0]:
+            groups.append((size, []))
+        assert size == groups[-1][0]
+        groups[-1][1].extend(perms)
+    assert sum(size for size, _ in groups) == len(states)
+    assert all(scored == tuples for _, scored in groups)

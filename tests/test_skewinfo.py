@@ -20,6 +20,7 @@ from chanskew.skewinfo import (
     skew_info_op,
     skew_info_unitary,
     skew_with_cache,
+    stacked_weighted_ops,
     weighted_ops,
 )
 
@@ -318,6 +319,47 @@ class TestSkewBatch:
         cache = weighted_ops(random_density(rng, 2), HALF)
         with pytest.raises(ValueError, match="state is"):
             skew_batch(cache, np.zeros((4, 3, 3), dtype=np.complex128))
+
+
+def low_rank_density(rng, dim: int, rank: int) -> DensityMatrix:
+    """rho = G G^H / Tr(G G^H) for a random dim x rank G: rank-deficient below dim."""
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+class TestStackedWeightedOps:
+    # the stacked search reads W and T of many states from one stack; each
+    # must carry the same bits as the state's own cache, or its K (and so
+    # its bounds) would differ from a one-state report
+    def test_equals_weighted_ops_of_each_state(self, rng):
+        exponents = [
+            lambda: random_params(rng),
+            lambda: SkewParams(0.0, rng.random(), rng.random()),  # rho^0 = I in W
+            lambda: SkewParams(0.0, 0.0, rng.random()),  # W = I, full tail
+            lambda: (lambda a: SkewParams(a, 1.0 - a, rng.random()))(rng.random()),  # T = I
+        ]
+        for k in range(80):
+            dim = int(rng.choice([1, 2, 3, 4, 8]))
+            states = [
+                low_rank_density(rng, dim, int(rng.integers(1, dim + 1)))
+                for _ in range(1 + k % 6)
+            ]
+            params = exponents[k % 4]()
+            stack = stacked_weighted_ops(states, params)
+            ops = np.array([random_matrix(rng, dim) for _ in range(5)])
+            batch = skew_batch(stack, ops)
+            assert batch.shape == (len(states), len(ops))
+            for s, rho in enumerate(states):
+                cache = weighted_ops(rho, params)
+                assert stack.w[s].tobytes() == cache.w.tobytes(), (k, s)
+                assert stack.tail[s].tobytes() == cache.tail.tobytes(), (k, s)
+                assert stack.tail_is_identity == cache.tail_is_identity
+                assert batch[s].tolist() == [skew_with_cache(cache, e) for e in ops], (k, s)
+            if params.alpha == params.beta == 0.0:
+                assert (stack.w == np.eye(dim)).all()  # rho^0 = I exactly, also when singular
+            if params.alpha + params.beta == 1.0:
+                assert (stack.tail == np.eye(dim)).all()
 
 
 class TestSingularStates:
