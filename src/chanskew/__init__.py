@@ -38,7 +38,6 @@ from .skewinfo import (
     skew_info_op,
     skew_info_unitary,
     skew_with_cache,
-    stacked_weighted_ops,
     weighted_ops,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "skew_info_op",
     "skew_info_unitary",
     "skew_with_cache",
-    "stacked_weighted_ops",
     "tuple_bound_values",
     "unitary_bound_report",
     "unitary_bound_reports",

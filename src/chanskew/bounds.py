@@ -30,11 +30,12 @@ singular reports are the batch of one, and every report is bit-identical
 to the one its state would get alone. A state is decomposed once, when
 DensityMatrix validates it; every report reuses that spectrum.
 
-The search is stacked over states: W and T of every state in one
-(S, d, d) stack (stacked_weighted_ops), K tables with a leading state
+The search is stacked over states: W and T of a group of S states in one
+(S, d, d) stack (_stacked_weighted_ops), K tables with a leading state
 axis, (state, tuple) rows scored SEARCH_CHUNK at a time, and the argmax
-rule run per state on all of them at once. A lone state, as in a single
-report, keeps its own weighted_ops cache and tables without a state axis. Every K a report reads (of
+rule run per state on all of them at once; a single report is a stack of
+one. A group holds at most SEARCH_CHUNK // (count d^2) states (at least
+one), count being the tuples of one state's search. Every K a report reads (of
 the Kraus operators for the sum, of the pair sums and differences, and
 of the column sums) comes from skew_batch calls on one operand stack
 (sliced when it is long), made after the tuple count has passed the cap.
@@ -54,9 +55,8 @@ from .quantum import DensityMatrix, KrausChannel, UnitaryOp
 from .skewinfo import (
     SkewParams,
     WeightedOperatorCache,
+    _stacked_weighted_ops,
     skew_batch,
-    stacked_weighted_ops,
-    weighted_ops,
 )
 
 DEFAULT_TUPLE_CAP = 10**6
@@ -66,9 +66,10 @@ SQRT_CLAMP_FLOOR = -1e-12
 ARGMAX_MARGIN = 1e-12
 # (state, tuple) rows scored per vectorized step; bounds the gathered
 # arrays to SEARCH_CHUNK * P * n floats whatever the tuple or state count.
-# The K tables of S states are evaluated SEARCH_CHUNK // (S d^2) operands
-# (at least one) of d x d at a time, which bounds each temporary to
-# SEARCH_CHUNK complex numbers, or S d^2 when that is larger.
+# A group of S states has S d^2 <= SEARCH_CHUNK (or S = 1), and its K
+# tables are evaluated SEARCH_CHUNK // (S d^2) operands (at least one) of
+# d x d at a time, which bounds each temporary to SEARCH_CHUNK complex
+# numbers, or d^2 when that is larger.
 SEARCH_CHUNK = 4096
 SIGN_VARIANT_DEFAULT = 1
 
@@ -216,47 +217,26 @@ class _Shape:
     pairs holds the channel pairs (t, s), t < s, in _pair_index order;
     pair_base the flat offset k * n * n of the k-th pair in plus and minus;
     radix the place values of (i_0, ..., i_{N-1}) in col; perms the n!
-    permutations of range(n) in lexicographic order; tuples the Kraus
-    indices of every tuple, when there are at most _CACHED_TUPLES of them.
+    permutations of range(n) in lexicographic order.
     """
 
     pairs: np.ndarray
     pair_base: np.ndarray
     radix: np.ndarray
     perms: np.ndarray
-    tuples: np.ndarray | None
-
-
-# a shape of at most this many tuples keeps them all, N * n integers each
-_CACHED_TUPLES = 4096
-
-
-def _kraus_indices(ids: np.ndarray, big_n: int, perms: np.ndarray) -> np.ndarray:
-    """Kraus indices of the tuples at positions ``ids`` in lexicographic order."""
-    n = perms.shape[1]
-    idx = np.empty((len(ids), big_n, n), dtype=np.intp)
-    idx[:, 0, :] = np.arange(n)
-    for t in range(big_n - 1, 0, -1):  # the last channel varies fastest
-        ids, digit = np.divmod(ids, len(perms))
-        idx[:, t, :] = perms[digit]
-    return idx
 
 
 @functools.lru_cache(maxsize=32)
 def _shape(big_n: int, n: int) -> _Shape:
     pairs = np.array(_pair_index(big_n), dtype=np.intp)
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    count = math.factorial(n) ** (big_n - 1)
     shape = _Shape(
         pairs=pairs,
         pair_base=np.arange(len(pairs), dtype=np.intp)[:, None] * n * n,
         radix=n ** np.arange(big_n - 1, -1, -1, dtype=np.intp),
-        perms=perms,
-        tuples=_kraus_indices(np.arange(count), big_n, perms) if count <= _CACHED_TUPLES else None,
+        perms=np.array(list(itertools.permutations(range(n))), dtype=np.intp),
     )
     for arr in vars(shape).values():
-        if arr is not None:
-            arr.flags.writeable = False
+        arr.flags.writeable = False
     return shape
 
 
@@ -422,10 +402,13 @@ def tuple_bound_values(
 
 def _tuples_at(ids: np.ndarray, big_n: int, n: int) -> np.ndarray:
     """Kraus indices of the tuples at positions ``ids`` in lexicographic order."""
-    shape = _shape(big_n, n)
-    if shape.tuples is not None:
-        return shape.tuples[ids]
-    return _kraus_indices(ids, big_n, shape.perms)
+    perms = _shape(big_n, n).perms
+    idx = np.empty((len(ids), big_n, n), dtype=np.intp)
+    idx[:, 0, :] = np.arange(n)
+    for t in range(big_n - 1, 0, -1):  # the last channel varies fastest
+        ids, digit = np.divmod(ids, len(perms))
+        idx[:, t, :] = perms[digit]
+    return idx
 
 
 def _sequential_best(values: np.ndarray) -> tuple[float, int]:
@@ -507,9 +490,10 @@ def _search_bounds(
     ``kraus`` holds N equally long Kraus lists of one dimension. The tuple
     count is checked against ``cap`` before any K is evaluated. States are
     scored in groups that share K tables and chunks: a group holds at most
-    SEARCH_CHUNK // count states, so a chunk holds at most SEARCH_CHUNK
-    (state, tuple) rows; a search of SEARCH_CHUNK tuples or more runs one
-    state at a time, chunk after chunk. Tuples are scored in lexicographic
+    SEARCH_CHUNK // (count d^2) states, so its W, T and K temporaries hold
+    at most SEARCH_CHUNK complex numbers each and a chunk at most
+    SEARCH_CHUNK (state, tuple) rows; a group of one state runs its search
+    chunk after chunk. Tuples are scored in lexicographic
     order; the result is bit-identical to evaluating every tuple of every
     state on its own, including which tuple wins a tie.
     """
@@ -521,19 +505,12 @@ def _search_bounds(
         if rho.dim != dim:
             raise ValueError(f"state {k} has dim {rho.dim}, the operators have dim {dim}")
     variants = (0, 1) if sign_variant is None else (sign_variant,)
-    group = max(1, SEARCH_CHUNK // count)
+    group = max(1, SEARCH_CHUNK // (count * dim * dim))
     step = min(count, SEARCH_CHUNK)
     out = []
     for g in range(0, len(states), group):
         part = states[g : g + group]
-        # a lone state keeps its own (d, d) cache, which gives the same bits
-        # as a stack of one; at d = 16 the stacked products cost up to a
-        # quarter more per report in some runs
-        if len(part) == 1:
-            cache = weighted_ops(part[0], params)
-        else:
-            cache = stacked_weighted_ops(part, params)
-        tables = _k_tables(cache, kraus)
+        tables = _k_tables(_stacked_weighted_ops(part, params), kraus)
         best = None  # (value, offer position) per (bound, state) row
         for lo in range(0, count, step):
             idx = _tuples_at(np.arange(lo, min(lo + step, count)), big_n, n)

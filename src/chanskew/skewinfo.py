@@ -50,7 +50,7 @@ class WeightedOperatorCache:
     Built from the spectrum rho's validation computed (no further
     eigendecomposition) and shared across all operator evaluations (the
     permutation search re-evaluates K heavily). A stacked cache
-    (stacked_weighted_ops) holds the (S, d, d) arrays of S states that
+    (_stacked_weighted_ops) holds the (S, d, d) arrays of S states that
     share the params.
     """
 
@@ -73,7 +73,7 @@ def weighted_ops(rho: DensityMatrix, params: SkewParams) -> WeightedOperatorCach
     return _weighted(*rho.spectrum, params)
 
 
-def stacked_weighted_ops(
+def _stacked_weighted_ops(
     states: Sequence[DensityMatrix], params: SkewParams
 ) -> WeightedOperatorCache:
     """W and the tail power of every state, as (S, d, d) stacks.

@@ -98,10 +98,11 @@ def batch_cases():
     return cases
 
 
-@pytest.mark.parametrize("chunk", [None, 3, 7])
+@pytest.mark.parametrize("chunk", [None, 3, 7, 40])
 def test_batch_is_bit_identical_to_per_state_oracle(monkeypatch, chunk):
-    # a chunk of 3 or 7 rows splits a batch into groups of SEARCH_CHUNK // count
-    # states, and a longer search into chunks of one state's tuples
+    # a group holds SEARCH_CHUNK // (count d^2) states: a chunk of 3 or 7
+    # rows scores one state at a time, in chunks of its tuples, and one of
+    # 40 splits the small-d batches into groups of several states
     if chunk is not None:
         monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
     for label, states, channels, params, want in batch_cases():
@@ -333,7 +334,7 @@ def test_unitary_bounds_are_bit_identical_to_formula_oracle():
         assert unitary_bound_report(rho, unitaries, params) == want
 
 
-@pytest.mark.parametrize("chunk", [None, 3, 7])
+@pytest.mark.parametrize("chunk", [None, 3, 7, 40])
 def test_unitary_batch_is_bit_identical_to_formula_oracle(monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
@@ -355,18 +356,18 @@ def test_unitary_batch_is_bit_identical_to_formula_oracle(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize(
-    "chunk,counts", [(5, (2, 2, 2)), (5, (3, 3, 2)), (9, (2, 2)), (4, (1, 1, 1))]
+    "chunk,counts",
+    [(5, (2, 2, 2)), (40, (2, 2, 2)), (40, (3, 3, 2)), (36, (2, 2)), (16, (1, 1, 1))],
 )
 def test_batch_chunks_hold_at_most_search_chunk_rows(monkeypatch, rng, chunk, counts):
-    # a group holds SEARCH_CHUNK // count states (at least one), so a chunk
-    # scores at most SEARCH_CHUNK (state, tuple) rows; each group scores
-    # every tuple once, in order, and each state is in one group
+    # a group holds SEARCH_CHUNK // (count d^2) states (at least one), so a
+    # chunk scores at most SEARCH_CHUNK (state, tuple) rows; each group
+    # scores every tuple once, in order, and each state is in one group
     seen = []
     score = bounds._score_chunk
 
     def recording(tables, idx, variants):
-        # a lone state's tables have no state axis
-        seen.append((len(tables.col) if tables.col.ndim == 2 else 1, idx.copy()))
+        seen.append((len(tables.col), idx.copy()))
         return score(tables, idx, variants)
 
     monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
@@ -385,3 +386,25 @@ def test_batch_chunks_hold_at_most_search_chunk_rows(monkeypatch, rng, chunk, co
         groups[-1][1].extend(perms)
     assert sum(size for size, _ in groups) == len(states)
     assert all(scored == tuples for _, scored in groups)
+    group = max(1, chunk // (len(tuples) * 4))
+    assert [size for size, _ in groups[:-1]] == [group] * (len(groups) - 1)
+
+
+def test_large_unitary_batch_splits_into_groups(monkeypatch):
+    # 40 one-Kraus states of d = 16: SEARCH_CHUNK // 16^2 = 16 states per
+    # group keeps each W, T and K temporary at SEARCH_CHUNK complex numbers
+    stack = bounds._stacked_weighted_ops
+    sizes = []
+
+    def recording(states, params):
+        sizes.append(len(states))
+        return stack(states, params)
+
+    monkeypatch.setattr(bounds, "_stacked_weighted_ops", recording)
+    rng = np.random.default_rng(19)
+    unitaries = [random_unitary(rng, 16) for _ in range(3)]
+    states = [random_density(rng, 16) for _ in range(40)]
+    params = random_params(rng)
+    got = unitary_bound_reports(states, unitaries, params)
+    assert sizes == [16, 16, 8]
+    assert got == [oracle_unitary_bound_report(rho, unitaries, params) for rho in states]

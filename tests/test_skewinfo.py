@@ -15,12 +15,12 @@ from chanskew.quantum import (
 )
 from chanskew.skewinfo import (
     SkewParams,
+    _stacked_weighted_ops,
     skew_batch,
     skew_info_channel,
     skew_info_op,
     skew_info_unitary,
     skew_with_cache,
-    stacked_weighted_ops,
     weighted_ops,
 )
 
@@ -346,7 +346,7 @@ class TestStackedWeightedOps:
                 for _ in range(1 + k % 6)
             ]
             params = exponents[k % 4]()
-            stack = stacked_weighted_ops(states, params)
+            stack = _stacked_weighted_ops(states, params)
             ops = np.array([random_matrix(rng, dim) for _ in range(5)])
             batch = skew_batch(stack, ops)
             assert batch.shape == (len(states), len(ops))
