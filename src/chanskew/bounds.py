@@ -401,14 +401,15 @@ def tuple_bound_values(
 
 
 def _tuples_at(ids: np.ndarray, big_n: int, n: int) -> np.ndarray:
-    """Kraus indices of the tuples at positions ``ids`` in lexicographic order."""
+    """Kraus indices of the tuples at positions ``ids`` in lexicographic order.
+
+    Channel t takes the permutation of digit t of the position written in
+    base n! with N digits, the last channel varying fastest; digit 0 is
+    always 0, and perms[0] is the identity.
+    """
     perms = _shape(big_n, n).perms
-    idx = np.empty((len(ids), big_n, n), dtype=np.intp)
-    idx[:, 0, :] = np.arange(n)
-    for t in range(big_n - 1, 0, -1):  # the last channel varies fastest
-        ids, digit = np.divmod(ids, len(perms))
-        idx[:, t, :] = perms[digit]
-    return idx
+    place = np.array([len(perms) ** k for k in range(big_n - 1, -1, -1)], dtype=np.intp)
+    return perms[ids[:, None] // place % len(perms)]
 
 
 def _sequential_best(values: np.ndarray) -> tuple[float, int]:
