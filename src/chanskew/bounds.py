@@ -217,23 +217,32 @@ class _Shape:
     pairs holds the channel pairs (t, s), t < s, in _pair_index order;
     pair_base the flat offset k * n * n of the k-th pair in plus and minus;
     radix the place values of (i_0, ..., i_{N-1}) in col; perms the n!
-    permutations of range(n) in lexicographic order.
+    permutations of range(n) in lexicographic order, perms[0] the identity;
+    place the place values of a tuple's position written in base n! with
+    N digits, the last channel's digit varying fastest. A place value past
+    the largest intp is stored as that maximum: every position an intp
+    holds has digit 0 there either way.
     """
 
     pairs: np.ndarray
     pair_base: np.ndarray
     radix: np.ndarray
     perms: np.ndarray
+    place: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
 def _shape(big_n: int, n: int) -> _Shape:
     pairs = np.array(_pair_index(big_n), dtype=np.intp)
+    top = int(np.iinfo(np.intp).max)
     shape = _Shape(
         pairs=pairs,
         pair_base=np.arange(len(pairs), dtype=np.intp)[:, None] * n * n,
         radix=n ** np.arange(big_n - 1, -1, -1, dtype=np.intp),
         perms=np.array(list(itertools.permutations(range(n))), dtype=np.intp),
+        place=np.array(
+            [min(math.factorial(n) ** k, top) for k in range(big_n - 1, -1, -1)], dtype=np.intp
+        ),
     )
     for arr in vars(shape).values():
         arr.flags.writeable = False
@@ -403,13 +412,11 @@ def tuple_bound_values(
 def _tuples_at(ids: np.ndarray, big_n: int, n: int) -> np.ndarray:
     """Kraus indices of the tuples at positions ``ids`` in lexicographic order.
 
-    Channel t takes the permutation of digit t of the position written in
-    base n! with N digits, the last channel varying fastest; digit 0 is
-    always 0, and perms[0] is the identity.
+    Channel t takes the permutation of digit t of the position; digit 0
+    is always 0, the identity.
     """
-    perms = _shape(big_n, n).perms
-    place = np.array([len(perms) ** k for k in range(big_n - 1, -1, -1)], dtype=np.intp)
-    return perms[ids[:, None] // place % len(perms)]
+    shape = _shape(big_n, n)
+    return shape.perms.take(ids[:, None] // shape.place % len(shape.perms), axis=0)
 
 
 def _sequential_best(values: np.ndarray) -> tuple[float, int]:

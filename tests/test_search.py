@@ -238,6 +238,22 @@ def test_chunks_cover_every_tuple_once(monkeypatch, rng):
     assert scored == list(enumerate_tuples(3, 3))
 
 
+def test_tuples_at_decodes_every_position_an_intp_holds():
+    # small shapes decode to enumerate_tuples; on N = 9 channels of n = 6
+    # the two leading place values pass the largest intp and are stored
+    # as it, which must still give digit 0 for every position
+    for big_n, n in [(2, 1), (3, 2), (4, 3), (3, 4)]:
+        want = list(enumerate_tuples(n, big_n))
+        got = bounds._tuples_at(np.arange(len(want)), big_n, n).tolist()
+        assert [tuple(map(tuple, perms)) for perms in got] == want
+    perms = list(itertools.permutations(range(6)))
+    ids = [0, 1, 719, 720, 2**62 + 12345, np.iinfo(np.intp).max - 1]
+    got = bounds._tuples_at(np.array(ids), 9, 6).tolist()
+    for position, row in zip(ids, got):
+        digits = [position // 720**k % 720 for k in range(8, -1, -1)]
+        assert [tuple(p) for p in row] == [perms[d] for d in digits], position
+
+
 def sequential_rule(row):
     """The argmax rule offer by offer: a later value must beat the best by the margin."""
     best, at = row[0], 0
