@@ -35,10 +35,11 @@ The search is stacked over states: W and T of a group of S states in one
 axis, (state, tuple) rows scored SEARCH_CHUNK at a time, and the argmax
 rule run per state on all of them at once; a single report is a stack of
 one. A group holds at most SEARCH_CHUNK // (count d^2) states (at least
-one), count being the tuples of one state's search. Every K a report reads (of
-the Kraus operators for the sum, of the pair sums and differences, and
-of the column sums) comes from skew_batch calls on one operand stack
-(sliced when it is long), made after the tuple count has passed the cap.
+one), count being the tuples of one state's search. Every K a report
+reads (of the Kraus operators for the sum, of the pair sums and
+differences, and of the column sums) comes from skew_batch calls on one
+operand stack (sliced when it is long), made after the tuple count has
+passed the cap.
 """
 
 from __future__ import annotations
@@ -501,9 +502,9 @@ def _search_bounds(
     SEARCH_CHUNK // (count d^2) states, so its W, T and K temporaries hold
     at most SEARCH_CHUNK complex numbers each and a chunk at most
     SEARCH_CHUNK (state, tuple) rows; a group of one state runs its search
-    chunk after chunk. Tuples are scored in lexicographic
-    order; the result is bit-identical to evaluating every tuple of every
-    state on its own, including which tuple wins a tie.
+    chunk after chunk. Tuples are scored in lexicographic order; the result
+    is bit-identical to evaluating every tuple of every state on its own,
+    including which tuple wins a tie.
     """
     big_n, n, dim = len(kraus), len(kraus[0]), len(kraus[0][0])
     if sign_variant not in (None, 0, 1):
