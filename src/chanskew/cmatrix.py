@@ -1,7 +1,9 @@
 """Dense complex linear algebra for small Hermitian problems.
 
 Everything operates on square ``numpy.ndarray`` matrices with dtype
-complex128. Eigendecompositions come from LAPACK through
+complex128, or on (S, d, d) stacks of them where a docstring says so; a
+stack is checked and decomposed in one pass, and each of its matrices comes
+out as the lone call gives it. Eigendecompositions come from LAPACK through
 ``numpy.linalg.eigh``: output is byte-identical from run to run on one
 machine, and across platforms it can differ in the last bits with the
 LAPACK build.
@@ -9,7 +11,7 @@ LAPACK build.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -21,14 +23,39 @@ class ConvergenceError(RuntimeError):
     """The eigensolver did not converge."""
 
 
+def raise_at_first(bad: np.ndarray, message: Callable[[object], str]) -> NoReturn:
+    """Raise ValueError(message(k)) for the first flagged matrix k.
+
+    Called once a check has failed. ``bad`` holds one flag per matrix: a
+    0-d flag for a lone matrix (k = ()), shape (S,) for a stack, whose
+    message is then prefixed with the member's index.
+    """
+    if bad.ndim == 0:
+        raise ValueError(message(()))
+    k = int(np.argmax(bad))
+    raise ValueError(f"stack member {k}: {message(k)}")
+
+
+def _as_squares(entries, ndim: int, what: str) -> np.ndarray:
+    m = np.asarray(entries, dtype=np.complex128)
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise ValueError(f"expected {what}, got shape {m.shape}")
+    finite = np.isfinite(m)
+    if not finite.all():
+        raise_at_first(
+            ~finite.all(axis=(-2, -1)), lambda k: "matrix entries must be finite (no NaN/Inf)"
+        )
+    return m
+
+
 def as_cmatrix(entries) -> np.ndarray:
     """Coerce input to a square complex128 matrix with finite entries."""
-    m = np.asarray(entries, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return m
+    return _as_squares(entries, 2, "a square matrix")
+
+
+def as_cmatrix_stack(entries) -> np.ndarray:
+    """Coerce input to an (S, d, d) stack of square complex128 matrices with finite entries."""
+    return _as_squares(entries, 3, "an (S, d, d) stack of square matrices")
 
 
 class EigenDecomposition(NamedTuple):
@@ -36,6 +63,7 @@ class EigenDecomposition(NamedTuple):
 
     eigenvalues: real, in descending order.
     eigenvectors: unitary matrix whose k-th column belongs to eigenvalues[k].
+    Decomposing an (S, d, d) stack gives both a leading stack axis.
     """
 
     eigenvalues: np.ndarray
@@ -45,31 +73,44 @@ class EigenDecomposition(NamedTuple):
 def eig_hermitian(x: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
-    The input is checked to be Hermitian within HERMITIAN_TOL; a LAPACK
-    failure to converge is raised as ConvergenceError.
+    ``x`` is a (d, d) matrix or an (S, d, d) stack, decomposed by one eigh
+    call; eigenvalues come out as (..., d) and eigenvectors as (..., d, d),
+    descending along the last axis. The input is checked to be Hermitian
+    within HERMITIAN_TOL; a LAPACK failure to converge is raised as
+    ConvergenceError.
     """
-    a = as_cmatrix(x)
-    asym = float(np.max(np.abs(a - a.conj().T)))
-    if asym > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |x - x^H| entry = {asym:.3e}")
+    a = np.asarray(x, dtype=np.complex128)
+    a = as_cmatrix_stack(a) if a.ndim == 3 else as_cmatrix(a)
+    asym = np.abs(a - a.conj().swapaxes(-1, -2))
+    if asym.max(initial=0.0) > HERMITIAN_TOL:
+        worst = asym.max(axis=(-2, -1))
+        raise_at_first(
+            worst > HERMITIAN_TOL,
+            lambda k: f"matrix is not Hermitian: max |x - x^H| entry = {float(worst[k]):.3e}",
+        )
     try:
         lams, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    return EigenDecomposition(lams[::-1], vecs[:, ::-1])
+    return EigenDecomposition(lams[..., ::-1], vecs[..., ::-1])
 
 
 def clamp_psd_eigenvalues(lams: np.ndarray) -> np.ndarray:
     """Zero out rounding-level eigenvalues; reject genuinely negative ones.
 
-    Eigenvalues at or below d * eps * max|lambda| become exact zeros, so a
-    zero eigenvalue computed as a residue of either sign gives 0^p = 0 for
-    every p > 0, not a value near 1.
+    ``lams`` is (d,) or (S, d), one row per matrix. Eigenvalues at or below
+    d * eps * max|lambda| of their own row become exact zeros, so a zero
+    eigenvalue computed as a residue of either sign gives 0^p = 0 for every
+    p > 0, not a value near 1.
     """
-    low = float(lams.min()) if lams.size else 0.0
-    if low < PSD_EIGENVALUE_FLOOR:
-        raise ValueError(f"not positive semidefinite: eigenvalue {low:.3e}")
-    cutoff = lams.size * np.finfo(np.float64).eps * float(np.abs(lams).max(initial=0.0))
+    if lams.min(initial=0.0) < PSD_EIGENVALUE_FLOOR:
+        low = lams.min(axis=-1)
+        raise_at_first(
+            low < PSD_EIGENVALUE_FLOOR,
+            lambda k: f"not positive semidefinite: eigenvalue {float(low[k]):.3e}",
+        )
+    scale = np.abs(lams).max(axis=-1, initial=0.0, keepdims=True)
+    cutoff = lams.shape[-1] * np.finfo(np.float64).eps * scale
     return np.where(lams <= cutoff, 0.0, lams)
 
 

@@ -1,5 +1,9 @@
 """Validated quantum objects and the standard qubit builders.
 
+States are validated one at a time (``DensityMatrix``, ``bloch_state``) or
+as a stack in one pass (``density_matrices``, ``bloch_states``); both give
+byte-identical states, and a stack costs one eigensolve.
+
 Basis convention: |0> = (1, 0)^T, |1> = (0, 1)^T, Pauli matrices in the
 standard representation. The Kraus matrices below depend on this choice.
 
@@ -17,8 +21,10 @@ import numpy as np
 from .cmatrix import (
     EigenDecomposition,
     as_cmatrix,
+    as_cmatrix_stack,
     clamp_psd_eigenvalues,
     eig_hermitian,
+    raise_at_first,
 )
 
 PAULI_1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -28,6 +34,7 @@ PAULIS = (PAULI_1, PAULI_2, PAULI_3)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 
 TRACE_TOL = 1e-10
+BLOCH_TOL = 1e-12
 UNITARY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8  # looser: accepts externally supplied 6-digit entries
 
@@ -38,33 +45,63 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _validated_states(m: np.ndarray) -> tuple[np.ndarray, EigenDecomposition]:
+    """Check a coerced (d, d) matrix or (S, d, d) stack as density matrices.
+
+    One eigensolve (which checks Hermiticity first), then the trace and the
+    PSD clamp; returns the matrix or stack and its clamped spectrum, frozen.
+    """
+    dec = eig_hermitian(m)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off = abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise_at_first(off, lambda k: f"density matrix trace is {complex(tr[k]):.12g}, expected 1")
+    spectrum = EigenDecomposition(clamp_psd_eigenvalues(dec.eigenvalues), dec.eigenvectors)
+    for arr in spectrum:
+        arr.flags.writeable = False
+    return _freeze(m), spectrum
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace matrix.
 
     ``spectrum`` is the eigendecomposition the PSD check computes, with
     rounding-level eigenvalues zeroed (clamp_psd_eigenvalues); the skew
-    information reads it, so a state is decomposed once.
+    information reads it, so a state is decomposed once. To validate many
+    states in one eigensolve, pass their stack to ``density_matrices``.
     """
 
     mat: np.ndarray
     spectrum: EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = as_cmatrix(self.mat)
-        dec = eig_hermitian(m)  # checks Hermiticity first
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace is {tr:.12g}, expected 1")
-        spectrum = EigenDecomposition(clamp_psd_eigenvalues(dec.eigenvalues), dec.eigenvectors)
-        for arr in spectrum:
-            arr.flags.writeable = False
+        mat, spectrum = _validated_states(as_cmatrix(self.mat))
         object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "mat", _freeze(m))
+        object.__setattr__(self, "mat", mat)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def density_matrices(stack) -> list[DensityMatrix]:
+    """The states of an (S, d, d) stack, validated together in one pass.
+
+    Each state equals ``DensityMatrix(stack[k])`` byte for byte; its
+    ``mat`` and ``spectrum`` are read-only views into one frozen stack. A
+    bad member raises ValueError naming its index, and nothing is returned.
+    """
+    if len(stack) == 0:
+        return []
+    mats, spectrum = _validated_states(as_cmatrix_stack(stack))
+    states = []
+    for mat, lams, vecs in zip(mats, *spectrum):
+        rho = object.__new__(DensityMatrix)  # validated above, as part of the stack
+        object.__setattr__(rho, "mat", mat)
+        object.__setattr__(rho, "spectrum", EigenDecomposition(lams, vecs))
+        states.append(rho)
+    return states
 
 
 @dataclass(frozen=True)
@@ -119,16 +156,43 @@ class UnitaryOp:
         return self.mat.shape[0]
 
 
+def _bloch_matrices(vec: np.ndarray) -> np.ndarray:
+    """(I + r1*s1 + r2*s2 + r3*s3) / 2 for each Bloch vector along the last axis of ``vec``."""
+    r1, r2, r3 = vec.T[..., None, None]  # each component as a (..., 1, 1) block
+    return 0.5 * (IDENTITY_2 + r1 * PAULI_1 + r2 * PAULI_2 + r3 * PAULI_3)
+
+
+def _outside_ball(norm) -> str:
+    return f"Bloch vector outside unit ball (|r| = {float(norm):.12g})"
+
+
 def bloch_state(r) -> DensityMatrix:
     """Qubit state (I + r1*s1 + r2*s2 + r3*s3) / 2 from a Bloch vector r."""
     vec = np.asarray(r, dtype=np.float64)
     if vec.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 real components, got shape {vec.shape}")
     norm = float(np.linalg.norm(vec))
-    if norm > 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector outside unit ball (|r| = {norm:.12g})")
-    m = 0.5 * (IDENTITY_2 + vec[0] * PAULI_1 + vec[1] * PAULI_2 + vec[2] * PAULI_3)
-    return DensityMatrix(m)
+    if norm > 1.0 + BLOCH_TOL:
+        raise ValueError(_outside_ball(norm))
+    return DensityMatrix(_bloch_matrices(vec))
+
+
+def bloch_states(vectors) -> list[DensityMatrix]:
+    """Qubit states from an (S, 3) array of Bloch vectors, validated in one pass.
+
+    Each state equals ``bloch_state(vectors[k])`` byte for byte. A vector
+    outside the unit ball raises ValueError naming its index.
+    """
+    if len(vectors) == 0:
+        return []
+    vec = np.asarray(vectors, dtype=np.float64)
+    if vec.ndim != 2 or vec.shape[1] != 3:
+        raise ValueError(f"Bloch vectors must be an (S, 3) array, got shape {vec.shape}")
+    norm = np.linalg.norm(vec, axis=-1)
+    outside = norm > 1.0 + BLOCH_TOL
+    if outside.any():
+        raise_at_first(outside, lambda k: _outside_ball(norm[k]))
+    return density_matrices(_bloch_matrices(vec))
 
 
 def _check_damping_rate(q: float) -> float:

@@ -33,6 +33,7 @@ from .quantum import (
     amplitude_damping,
     bit_flip,
     bloch_state,
+    bloch_states,
     pauli_rotation,
     phase_damping,
 )
@@ -110,9 +111,18 @@ class SweepConfig:
         return np.linspace(self.theta_start, self.theta_end, self.steps)
 
 
+def _planar_vector(theta: float, radius: float) -> tuple[float, float, float]:
+    return (radius * math.cos(theta), radius * math.sin(theta), 0.0)
+
+
 def planar_bloch_state(theta: float, radius: float):
     """Qubit state with Bloch vector radius * (cos(theta), sin(theta), 0)."""
-    return bloch_state((radius * math.cos(theta), radius * math.sin(theta), 0.0))
+    return bloch_state(_planar_vector(theta, radius))
+
+
+def planar_bloch_states(thetas, radius: float):
+    """``planar_bloch_state`` at every theta, validated as one stack."""
+    return bloch_states([_planar_vector(theta, radius) for theta in thetas])
 
 
 def damping_flip_channels(q: float) -> tuple[KrausChannel, KrausChannel, KrausChannel]:
@@ -184,7 +194,7 @@ def channel_sweep(
 ) -> list[tuple[float, BoundReport]]:
     """Bound reports over the theta grid, from one search; every row is soundness-checked."""
     thetas = cfg.grid()
-    states = [planar_bloch_state(theta, cfg.bloch_radius) for theta in thetas]
+    states = planar_bloch_states(thetas, cfg.bloch_radius)
     reports = channel_bound_reports(states, damping_flip_channels(cfg.q), cfg.params, cap=cap)
     return _checked_rows("channel", thetas, reports)
 
@@ -194,7 +204,7 @@ def unitary_sweep(
 ) -> list[tuple[float, UnitaryBoundReport]]:
     """Unitary bound reports over the theta grid, from one search, soundness-checked."""
     thetas = cfg.grid()
-    states = [planar_bloch_state(theta, cfg.bloch_radius) for theta in thetas]
+    states = planar_bloch_states(thetas, cfg.bloch_radius)
     reports = unitary_bound_reports(states, eighth_turn_unitaries(printed_u3), cfg.params)
     return _checked_rows("unitary", thetas, reports)
 
@@ -211,7 +221,7 @@ def lb3_tightest_fraction(rows: Sequence[tuple[float, UnitaryBoundReport]]) -> f
 
 def table1_reports(cap: int = DEFAULT_TUPLE_CAP) -> list[tuple[str, BoundReport]]:
     """The four benchmark rows at q = 0.4, from one search."""
-    states = [planar_bloch_state(theta, CHANNEL_BLOCH_RADIUS) for _, theta in TABLE1_THETAS]
+    states = planar_bloch_states([theta for _, theta in TABLE1_THETAS], CHANNEL_BLOCH_RADIUS)
     reports = channel_bound_reports(
         states, damping_flip_channels(TABLE1_Q), DEFAULT_PARAMS, cap=cap
     )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chanskew.cmatrix import as_cmatrix, eig_hermitian, matrix_power
+from chanskew.cmatrix import as_cmatrix, clamp_psd_eigenvalues, eig_hermitian, matrix_power
 from chanskew.quantum import IDENTITY_2, PAULI_1, PAULI_2, PAULI_3
 
 from support import random_hermitian, random_density
@@ -87,6 +87,38 @@ class TestEigHermitian:
         first, second = eig_hermitian(h), eig_hermitian(h)
         np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
         np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
+
+
+class TestStackedSpectra:
+    def test_stack_equals_lone_decompositions(self, rng):
+        for dim in (2, 3, 5):
+            stack = np.array([random_hermitian(rng, dim) for _ in range(6)])
+            dec = eig_hermitian(stack)
+            assert dec.eigenvalues.shape == (6, dim)
+            assert dec.eigenvectors.shape == (6, dim, dim)
+            for k, h in enumerate(stack):
+                lone = eig_hermitian(h)
+                assert dec.eigenvalues[k].tobytes() == lone.eigenvalues.tobytes()
+                assert dec.eigenvectors[k].tobytes() == lone.eigenvectors.tobytes()
+
+    def test_clamp_cuts_each_row_at_its_own_scale(self):
+        eps = np.finfo(np.float64).eps
+        lams = np.array(
+            [
+                # pure state: three rounding residues below 4 eps * 1
+                [1.0, 5e-16, 1e-16, -3e-16],
+                # nearly maximally mixed on three levels, with a genuine
+                # eigenvalue above its own cutoff 4 eps / 3 but below 4 eps
+                [1 / 3, 1 / 3, 1 / 3 - 5e-16, 5e-16],
+            ]
+        )
+        rows = np.array([clamp_psd_eigenvalues(row) for row in lams])
+        stacked = clamp_psd_eigenvalues(lams)
+        assert stacked.tobytes() == rows.tobytes()
+        np.testing.assert_array_equal(stacked[0], [1.0, 0.0, 0.0, 0.0])
+        assert stacked[1, 3] == 5e-16
+        # one cutoff from the largest eigenvalue of the whole stack would zero it
+        assert 5e-16 <= 4 * eps * lams.max()
 
 
 class TestMatrixPower:

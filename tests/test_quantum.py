@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import random_density
+
 from chanskew.quantum import (
     IDENTITY_2,
     PAULI_1,
@@ -16,7 +18,9 @@ from chanskew.quantum import (
     amplitude_damping,
     bit_flip,
     bloch_state,
+    bloch_states,
     channel_from_json,
+    density_matrices,
     density_matrix_from_json,
     matrix_from_json,
     pauli_rotation,
@@ -77,6 +81,99 @@ class TestBlochState:
             np.testing.assert_allclose(
                 lams, [(1 + radius) / 2, (1 - radius) / 2], atol=1e-10
             )
+
+
+def assert_same_state(got: DensityMatrix, want: DensityMatrix):
+    # byte comparison, so that a signed zero or a last-bit difference counts
+    for a, b in (
+        (got.mat, want.mat),
+        (got.spectrum.eigenvalues, want.spectrum.eigenvalues),
+        (got.spectrum.eigenvectors, want.spectrum.eigenvectors),
+    ):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+class TestStacks:
+    @pytest.mark.parametrize("radius", [math.sqrt(3) / 2, math.sqrt(2) / 2])
+    def test_paper_grids_equal_lone_states(self, radius):
+        thetas = np.linspace(0.0, math.pi, 181)
+        vectors = [(radius * math.cos(t), radius * math.sin(t), 0.0) for t in thetas]
+        states = bloch_states(vectors)
+        assert len(states) == len(vectors)
+        for rho, r in zip(states, vectors):
+            assert_same_state(rho, bloch_state(r))
+
+    def test_pure_mixed_and_random_bloch_vectors_equal_lone_states(self, rng):
+        s = 1.0 / math.sqrt(2.0)
+        special = [
+            (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+            (-s, s, 0.0), (s, 0.0, -s), (0.0, 0.0, 0.0),
+        ]
+        on_sphere = rng.normal(size=(20, 3))
+        on_sphere /= np.linalg.norm(on_sphere, axis=1, keepdims=True)
+        inside = on_sphere * rng.random((20, 1))
+        vectors = np.concatenate([special, on_sphere, inside])
+        for rho, r in zip(bloch_states(vectors), vectors):
+            assert_same_state(rho, bloch_state(r))
+
+    @pytest.mark.parametrize("dim", [3, 4, 16])
+    def test_random_stacks_equal_lone_states(self, rng, dim):
+        stack = np.array([random_density(rng, dim).mat for _ in range(12)])
+        states = density_matrices(stack)
+        assert [rho.dim for rho in states] == [dim] * 12
+        for rho, m in zip(states, stack):
+            assert_same_state(rho, DensityMatrix(m))
+
+    def test_states_are_read_only_and_detached_from_the_input(self, rng):
+        stack = np.array([random_density(rng, 3).mat for _ in range(4)])
+        states = density_matrices(stack)
+        before = states[1].mat.copy()
+        stack[1] = np.eye(3) / 3
+        np.testing.assert_array_equal(states[1].mat, before)
+        for arr in (states[1].mat, *states[1].spectrum):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_empty_input_gives_no_states(self):
+        assert density_matrices([]) == []
+        assert density_matrices(np.zeros((0, 2, 2))) == []
+        assert bloch_states([]) == []
+        assert bloch_states(np.zeros((0, 3))) == []
+
+    @pytest.mark.parametrize(
+        "fault, match",
+        [
+            ("hermitian", "stack member 2: matrix is not Hermitian"),
+            ("trace", "stack member 2: density matrix trace is 1.2"),
+            ("negative", "stack member 2: not positive semidefinite"),
+            ("nonfinite", r"stack member 2: matrix entries must be finite"),
+        ],
+    )
+    def test_bad_member_is_named(self, fault, match):
+        stack = np.array([np.diag([0.75, 0.25])] * 4, dtype=complex)
+        stack[2] = {
+            "hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
+            "trace": np.diag([0.8, 0.4]),
+            "negative": np.diag([1.2, -0.2]),
+            "nonfinite": np.array([[0.5, np.nan], [np.nan, 0.5]]),
+        }[fault]
+        with pytest.raises(ValueError, match=match):
+            density_matrices(stack)
+
+    def test_bloch_vector_outside_ball_is_named(self):
+        with pytest.raises(ValueError, match=r"stack member 1: Bloch vector outside unit ball"):
+            bloch_states([(0.0, 0.0, 1.0), (0.9, 0.9, 0.9), (0.0, 0.0, 0.0)])
+
+    def test_wrong_shapes_are_rejected(self):
+        with pytest.raises(ValueError, match=r"\(S, 3\)"):
+            bloch_states(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=r"\(S, 3\)"):
+            bloch_states(np.zeros(3))
+        with pytest.raises(ValueError, match="stack of square"):
+            density_matrices(np.zeros((4, 2, 3)))
+        with pytest.raises(ValueError, match="stack of square"):
+            density_matrices(np.eye(2) / 2)
 
 
 class TestChannels:

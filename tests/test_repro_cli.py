@@ -126,6 +126,26 @@ class TestSweeps:
             (label, channel_config_report(0.4, theta)) for label, theta in TABLE1_THETAS
         ]
 
+    @pytest.mark.parametrize("kind", ["channel", "unitary", "table1"])
+    def test_states_are_decomposed_in_one_eigensolve(self, monkeypatch, kind):
+        # a sweep validates its states as one stack: one eigh call in all
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        cfg = small_config(steps=181)
+        if kind == "channel":
+            channel_sweep(cfg)
+        elif kind == "unitary":
+            unitary_sweep(cfg)
+        else:
+            table1_reports()
+        assert calls == [(4, 2, 2) if kind == "table1" else (181, 2, 2)]
+
     @pytest.mark.parametrize("kind", ["channel", "unitary"])
     def test_sweep_raises_at_first_unsound_theta(self, monkeypatch, kind):
         # the reports come from one call; the sweep still names the first
