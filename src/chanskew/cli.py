@@ -262,6 +262,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1; got {args.trials}")
     rng = np.random.default_rng(args.seed)
     ok = True
 

@@ -102,24 +102,35 @@ def skew_with_cache(cache: WeightedOperatorCache, e: np.ndarray) -> float:
 def skew_batch(cache: WeightedOperatorCache, ops: np.ndarray) -> np.ndarray:
     """K of every operator in an (M, d, d) stack, as an (M,) float array.
 
-    A stacked cache of S states gives an (S, M) array, row k for state k.
-    Each value equals skew_with_cache of that (C-contiguous) operator bit
-    for bit, which the tests pin: the stacked products round as the single
-    ones do, and each row is reduced by the stacked conj(row) @ row
-    product, which rounds as np.vdot does (np.einsum and an explicit
-    re^2 + im^2 sum do not).
+    A stacked cache of S states gives an (S, M) array, row k for state k;
+    a lone (d, d) cache is a stack of one. Each product stacks operands by
+    rows, so one BLAS call serves many (state, operand) pairs: W E of
+    every state is one (S d, d) @ (d, d) product per operand, E W of every
+    operand one (M d, d) @ (d, d) product per state, and [W, E] T one
+    (M d, d) @ (d, d) product per state (none when T = I). That is M + 2S
+    products, not 3 S M. Each value equals skew_with_cache of that
+    (C-contiguous) operator bit for bit, which the tests pin: the BLAS
+    computes each output row of a row-stacked product as it computes that
+    row alone. Stacking by columns (W @ [E_1 ... E_M]) or the transpose
+    form (E^T W^T)^T does not round as the single products do. Each row is
+    reduced by the stacked conj(row) @ row product, which rounds as
+    np.vdot does (np.einsum and an explicit re^2 + im^2 sum do not).
     """
     w, tail = cache.w, cache.tail
     d = w.shape[-1]
     if ops.shape[1:] != w.shape[-2:]:
         raise ValueError(f"operators are {ops.shape[1:]}, state is {w.shape[-2:]}")
-    if w.ndim == 3:  # one (M, d, d) block of products per state
-        w, tail = w[:, None], tail[:, None]
-    c = w @ ops - ops @ w
+    m = len(ops)
+    ws = w.reshape(-1, d, d)
+    s = len(ws)
+    we = (ws.reshape(s * d, d) @ ops).reshape(m, s, d, d).swapaxes(0, 1)
+    ew = (ops.reshape(m * d, d) @ ws).reshape(s, m, d, d)
+    c = (we - ew).reshape(s, m * d, d)
     if not cache.tail_is_identity:
-        c = c @ tail
-    rows = c.reshape(c.shape[:-2] + (1, d * d))
-    return 0.5 * np.matmul(rows.conj(), rows.swapaxes(-1, -2))[..., 0, 0].real
+        c = c @ tail.reshape(s, d, d)
+    rows = c.reshape(s, m, 1, d * d)
+    k = 0.5 * np.matmul(rows.conj(), rows.swapaxes(-1, -2))[..., 0, 0].real
+    return k if w.ndim == 3 else k[0]
 
 
 def skew_info_op(rho: DensityMatrix, e: np.ndarray, params: SkewParams) -> float:

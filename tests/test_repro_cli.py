@@ -290,6 +290,14 @@ class TestCli:
         assert "selftest: PASS" in out
         assert "representation-invariant" in out
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_selftest_rejects_trials_below_one(self, capsys, trials):
+        # no trials would pass the soundness checks vacuously
+        assert main(["selftest", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "--trials must be at least 1" in captured.err
+        assert "PASS" not in captured.out
+
     def test_selftest_asserts_remix_invariance(self, monkeypatch, capsys):
         assert main(["selftest", "--trials", "2"]) == 0
         assert "selftest Kraus-remix invariance: ok" in capsys.readouterr().out

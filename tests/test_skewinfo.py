@@ -315,6 +315,47 @@ class TestSkewBatch:
             ops[rng.random(len(ops)) < 0.2] = 0.0
             assert skew_batch(cache, ops).tolist() == [skew_with_cache(cache, e) for e in ops]
 
+    # skew_batch stacks operands by rows: W E of all S states is one
+    # (S d, d) product per operand, E W and the tail product one (M d, d)
+    # product per state. Each row must round as that row alone, also where
+    # S d and M d span many of the BLAS's row blocks: up to 256 states (the
+    # largest channel-sweep group at d = 2) and 300 operands, and the paper
+    # sweep's (181 states, 38 operands, d = 2)
+    @pytest.mark.parametrize("identity_tail", [False, True])
+    def test_row_stacked_products_at_scale(self, rng, identity_tail):
+        shapes = [(181, 38, 2), (256, 120, 2), (97, 211, 3), (1, 300, 4), (16, 300, 16),
+                  (64, 50, 5), (33, 77, 7), (8, 300, 13), (256, 3, 1)]
+        while len(shapes) < 21:
+            s, m, dim = int(rng.integers(1, 257)), int(rng.integers(1, 301)), int(rng.integers(1, 17))
+            if s * m <= 8000:
+                shapes.append((s, m, dim))
+        for s, m, dim in shapes:
+            if identity_tail:
+                alpha = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+                params = SkewParams(alpha, 1.0 - alpha, rng.random())
+            else:
+                params = random_params(rng)
+            states = [random_density(rng, dim) for _ in range(s)]
+            stack = _stacked_weighted_ops(states, params)
+            assert stack.tail_is_identity == identity_tail
+            ops = np.array([random_matrix(rng, dim) for _ in range(m)])
+            ops[rng.random(m) < 0.1] = 0.0
+            batch = skew_batch(stack, ops)
+            assert batch.shape == (s, m)
+            for k, rho in enumerate(states):
+                cache = weighted_ops(rho, params)
+                want = [skew_with_cache(cache, e) for e in ops]
+                assert batch[k].tolist() == want, (s, m, dim, k)
+                if k == 0:  # a lone cache is a stack of one
+                    assert skew_batch(cache, ops).tolist() == want, (s, m, dim)
+
+    def test_empty_operand_stack(self, rng):
+        for dim in (1, 2, 5):
+            states = [random_density(rng, dim) for _ in range(3)]
+            empty = np.zeros((0, dim, dim), dtype=np.complex128)
+            assert skew_batch(_stacked_weighted_ops(states, HALF), empty).shape == (3, 0)
+            assert skew_batch(weighted_ops(states[0], HALF), empty).shape == (0,)
+
     def test_shape_mismatch(self, rng):
         cache = weighted_ops(random_density(rng, 2), HALF)
         with pytest.raises(ValueError, match="state is"):
