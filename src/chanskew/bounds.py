@@ -1,9 +1,8 @@
 """Sum-uncertainty lower bounds for N channels and N unitaries.
 
 All channel bounds are exact maximizations over tuples of Kraus-index
-permutations (one permutation per channel, the first fixed to the
-identity, which is justified by invariance under a common relabeling).
-Two families are computed:
+permutations (one per channel, the first fixed to the identity by
+invariance under a common relabeling). Two families are computed:
 
 * lb1/lb2/lb3 aggregate each pairwise term over the Kraus index first
   and take the square root of the per-pair sums ("outer" aggregation);
@@ -15,31 +14,19 @@ plain term and differences under the square roots, variant 1 swaps the
 two. The reference comparison tables use variant 1, which is therefore
 the default; pass ``sign_variant=None`` to maximize over both.
 
-A unitary channel is the one-Kraus channel {U}, so the unitary bounds
-are lb1/lb2/lb3 of one-Kraus channels: the same search, over its single
-tuple, with lb3 maximized over both sign variants.
+The unitary bounds are lb1/lb2/lb3 of the one-Kraus channels {U}: the
+same search over its single tuple, lb3 maximized over both variants.
 
-The reports are the API. One search scores every bound N allows, and
-channel_bound_report returns each value with its argmax tuple and sign
-variant: report.lb2, report.argmax["lb2"].perms and
-report.argmax["lb3"].x; unitary_bound_report records the lb3 variant as
-argmax_x. channel_bound_reports and unitary_bound_reports return the
-report of every state in a list, from one search over states that share
-the channels (or unitaries) and params, as a theta sweep does; the
-singular reports are the batch of one, and every report is bit-identical
-to the one its state would get alone. A state is decomposed once, when
-DensityMatrix validates it; every report reuses that spectrum.
-
-The search is stacked over states: W and T of a group of S states in one
-(S, d, d) stack (_stacked_weighted_ops), K tables with a leading state
-axis, (state, tuple) rows scored SEARCH_CHUNK at a time, and the argmax
-rule run per state on all of them at once; a single report is a stack of
-one. A group holds at most SEARCH_CHUNK // (count d^2) states (at least
-one), count being the tuples of one state's search. Every K a report
-reads (of the Kraus operators for the sum, of the pair sums and
-differences, and of the column sums) comes from skew_batch calls on one
-operand stack (sliced when it is long), made after the tuple count has
-passed the cap.
+One search scores every bound N allows for a stack of states that share
+the channels (or unitaries) and params. channel_bound_columns and
+unitary_bound_columns take the stacked spectrum (bloch_spectra gives it)
+and return a BoundColumns, whose report(k) is state k's BoundReport
+(report.lb2, report.argmax["lb2"].perms, report.argmax["lb3"].x) or
+UnitaryBoundReport (lb3's variant as argmax_x). channel_bound_reports and
+unitary_bound_reports stack the spectra DensityMatrix validation computed;
+a single report is the batch of one. Each report of a batch equals its
+state's lone report bit for bit on the SkylakeX and CooperLake OpenBLAS
+kernels, not on others (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -52,25 +39,20 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .cmatrix import EigenDecomposition
 from .quantum import DensityMatrix, KrausChannel, UnitaryOp
-from .skewinfo import (
-    SkewParams,
-    WeightedOperatorCache,
-    _stacked_weighted_ops,
-    skew_batch,
-)
+from .skewinfo import SkewParams, WeightedOperatorCache, _stacked_weighted_ops, skew_batch
 
 DEFAULT_TUPLE_CAP = 10**6
 SOUNDNESS_TOL = 1e-9
 SQRT_CLAMP_FLOOR = -1e-12
 # a later tuple replaces the argmax only if strictly better than this margin
 ARGMAX_MARGIN = 1e-12
-# (state, tuple) rows scored per vectorized step; bounds the gathered
-# arrays to SEARCH_CHUNK * P * n floats whatever the tuple or state count.
-# A group of S states has S d^2 <= SEARCH_CHUNK (or S = 1), and its K
-# tables are evaluated SEARCH_CHUNK // (S d^2) operands (at least one) of
-# d x d at a time, which bounds each temporary to SEARCH_CHUNK complex
-# numbers, or d^2 when that is larger.
+# (state, tuple) rows scored per vectorized step, which bounds the gathered
+# arrays to SEARCH_CHUNK * P * n floats. A group of S states has S d^2 <=
+# SEARCH_CHUNK (or S = 1), and its K tables are evaluated SEARCH_CHUNK //
+# (S d^2) operands at a time (at least one), so each temporary holds at
+# most max(SEARCH_CHUNK, d^2) complex numbers.
 SEARCH_CHUNK = 4096
 SIGN_VARIANT_DEFAULT = 1
 
@@ -85,8 +67,27 @@ class BoundArgmax:
     x: int | None = None
 
 
+class _Sound:
+    """No bound of _BOUNDS above the sum, lb >= ob for each pair of _DOMINANCE."""
+
+    _BOUNDS: tuple[str, ...] = ()
+    _DOMINANCE: tuple[tuple[str, str], ...] = ()
+
+    def soundness_violations(self, tol: float = SOUNDNESS_TOL) -> list[str]:
+        """Empty iff every bound is below the sum and lb2/lb3 dominate ob2/ob3."""
+        out = []
+        for name in self._BOUNDS:
+            value = getattr(self, name)
+            if value is not None and value > self.sum + tol:
+                out.append(f"{name} = {value!r} exceeds sum = {self.sum!r}")
+        for lb, ob in self._DOMINANCE:
+            if getattr(self, lb) < getattr(self, ob) - tol:
+                out.append(f"{lb} = {getattr(self, lb)!r} below {ob} = {getattr(self, ob)!r}")
+        return out
+
+
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Sound):
     """All six channel bounds plus the exact sum for one configuration.
 
     lb1/ob1 are None when only two channels are given (they need N > 2).
@@ -101,24 +102,11 @@ class BoundReport:
     lb3: float
     argmax: dict[str, BoundArgmax]
 
-    def soundness_violations(self, tol: float = SOUNDNESS_TOL) -> list[str]:
-        """Empty iff every bound is below the sum and lb2/lb3 dominate ob2/ob3."""
-        out = []
-        for name in ("ob1", "ob2", "ob3", "lb1", "lb2", "lb3"):
-            value = getattr(self, name)
-            if value is not None and value > self.sum + tol:
-                out.append(f"{name} = {value!r} exceeds sum = {self.sum!r}")
-        if self.lb2 < self.ob2 - tol:
-            out.append(f"lb2 = {self.lb2!r} below ob2 = {self.ob2!r}")
-        if self.lb3 < self.ob3 - tol:
-            out.append(f"lb3 = {self.lb3!r} below ob3 = {self.ob3!r}")
-        return out
+    _BOUNDS = ("ob1", "ob2", "ob3", "lb1", "lb2", "lb3")
+    _DOMINANCE = (("lb2", "ob2"), ("lb3", "ob3"))
 
     def to_json_dict(self) -> dict:
-        data = {
-            name: getattr(self, name)
-            for name in ("sum", "ob1", "ob2", "ob3", "lb1", "lb2", "lb3")
-        }
+        data = {name: getattr(self, name) for name in ("sum",) + self._BOUNDS}
         data["argmax"] = {
             name: {"perms": [list(p) for p in am.perms], "x": am.x}
             for name, am in self.argmax.items()
@@ -127,7 +115,7 @@ class BoundReport:
 
 
 @dataclass(frozen=True)
-class UnitaryBoundReport:
+class UnitaryBoundReport(_Sound):
     """The three unitary-channel bounds plus the exact sum.
 
     lb1 is None when only two unitaries are given; argmax_x records the
@@ -140,13 +128,53 @@ class UnitaryBoundReport:
     lb3: float
     argmax_x: int
 
-    def soundness_violations(self, tol: float = SOUNDNESS_TOL) -> list[str]:
-        out = []
-        for name in ("lb1", "lb2", "lb3"):
-            value = getattr(self, name)
-            if value is not None and value > self.sum + tol:
-                out.append(f"{name} = {value!r} exceeds sum = {self.sum!r}")
-        return out
+    _BOUNDS = ("lb1", "lb2", "lb3")
+
+
+@dataclass(frozen=True, eq=False)
+class BoundColumns:
+    """One stacked search's results by state.
+
+    sum[k] and, per bound N allows, values[name][k], attained at
+    tuples[winner[name][k]] with sign variant x[name][k] (lb3/ob3).
+    """
+
+    report_type: type
+    sum: np.ndarray
+    values: dict[str, np.ndarray]
+    winner: dict[str, np.ndarray]
+    x: dict[str, np.ndarray]
+    tuples: list[PermTuple]
+
+    def __len__(self) -> int:
+        return len(self.sum)
+
+    def report(self, k: int):
+        """State k's report, a ``report_type``."""
+        fields = {
+            name: float(self.values[name][k]) if name in self.values else None
+            for name in self.report_type._BOUNDS
+        }
+        if self.report_type is UnitaryBoundReport:
+            return UnitaryBoundReport(float(self.sum[k]), **fields, argmax_x=int(self.x["lb3"][k]))
+        argmax = {
+            name: BoundArgmax(self.tuples[w[k]], int(self.x[name][k]) if name in self.x else None)
+            for name, w in self.winner.items()
+        }
+        return BoundReport(float(self.sum[k]), **fields, argmax=argmax)
+
+    def reports(self) -> list:
+        return [self.report(k) for k in range(len(self))]
+
+    def first_unsound(self, tol: float = SOUNDNESS_TOL) -> int | None:
+        """The first state with soundness_violations, by the same comparisons on arrays."""
+        bad = np.zeros(len(self), dtype=bool)
+        for name in self.report_type._BOUNDS:
+            if name in self.values:
+                bad |= self.values[name] > self.sum + tol
+        for lb, ob in self.report_type._DOMINANCE:
+            bad |= self.values[lb] < self.values[ob] - tol
+        return int(bad.argmax()) if bad.any() else None
 
 
 def _safe_sqrt(values: np.ndarray) -> np.ndarray:
@@ -178,9 +206,8 @@ def _tuple_count(n: int, big_n: int, cap: int) -> int:
 def enumerate_tuples(n: int, big_n: int, cap: int = DEFAULT_TUPLE_CAP) -> Iterator[PermTuple]:
     """All (n!)^(N-1) permutation tuples with the first fixed to identity.
 
-    Order is lexicographic and deterministic. Raises immediately if the
-    count exceeds ``cap`` so that an accidental huge search is an
-    explicit choice.
+    Order is lexicographic. Raises at once if the count exceeds ``cap``,
+    so that a huge search is an explicit choice.
     """
     _tuple_count(n, big_n, cap)
     identity = tuple(range(n))
@@ -191,17 +218,14 @@ def enumerate_tuples(n: int, big_n: int, cap: int = DEFAULT_TUPLE_CAP) -> Iterat
 def _padded_kraus(channels: Sequence[KrausChannel]) -> list[list[np.ndarray]]:
     """Kraus lists padded with zero operators to a common length.
 
-    Zero operators contribute zero skew information, so sums are
-    unchanged; only the permutation search space grows.
+    Zero operators have zero skew information: sums are unchanged.
     """
     if len(channels) < 2:
         raise ValueError(f"need at least 2 channels, got {len(channels)}")
     dim = channels[0].dim
     for ch in channels:
         if ch.dim != dim:
-            raise ValueError(
-                f"channel '{ch.name}' has dim {ch.dim}, expected {dim}"
-            )
+            raise ValueError(f"channel '{ch.name}' has dim {ch.dim}, expected {dim}")
     n = max(len(ch.ops) for ch in channels)
     zero = np.zeros((dim, dim), dtype=np.complex128)
     return [list(ch.ops) + [zero] * (n - len(ch.ops)) for ch in channels]
@@ -215,14 +239,12 @@ def _pair_index(big_n: int) -> list[tuple[int, int]]:
 class _Shape:
     """Read-only index arrays of a search over N channels of n Kraus operators.
 
-    pairs holds the channel pairs (t, s), t < s, in _pair_index order;
-    pair_base the flat offset k * n * n of the k-th pair in plus and minus;
-    radix the place values of (i_0, ..., i_{N-1}) in col; perms the n!
-    permutations of range(n) in lexicographic order, perms[0] the identity;
-    place the place values of a tuple's position written in base n! with
-    N digits, the last channel's digit varying fastest. A place value past
-    the largest intp is stored as that maximum: every position an intp
-    holds has digit 0 there either way.
+    pairs: the channel pairs (t, s), t < s, in _pair_index order; pair_base:
+    the flat offset k n n of pair k in plus and minus; radix: the place
+    values of (i_0, ..., i_{N-1}) in col; perms: the n! permutations in
+    lexicographic order, perms[0] the identity; place: the place values of
+    a tuple's position in base n!, last channel fastest (one past the
+    largest intp is stored as it: every intp position has digit 0 there).
     """
 
     pairs: np.ndarray
@@ -256,9 +278,8 @@ _libm_pow = np.frompyfunc(math.pow, 2, 1)
 def _scalar_square(values: np.ndarray) -> np.ndarray:
     """Elementwise ``v ** 2`` as a numpy float64 scalar computes it.
 
-    The scalar operator calls the C library's pow, which rounds
-    differently from v * v (what ``array ** 2`` computes) about once in a
-    thousand values; math.pow is that same pow.
+    The scalar operator calls the C library's pow (as math.pow does), which
+    rounds otherwise than v * v (``array ** 2``) on about 1 value in 1000.
     """
     return _libm_pow(values, 2.0).astype(np.float64)
 
@@ -271,15 +292,12 @@ class _KTables:
     the k-th channel pair (t, s), plus holds K(E^t_a + E^s_b) at flat
     position (k * n + a) * n + b, and minus the same for E^t_a - E^s_b.
     col holds K(sum_t E^t_{i_t}) at the flat position of (i_0, ..., i_{N-1})
-    in C order. All of them come from one operand stack evaluated by
-    skew_batch. Each operand is built with the arithmetic a per-tuple
-    evaluation uses (``et + es``, ``et - es``, the channels added left to
-    right as ``sum()`` adds them), so every entry is bit-identical to
-    skew_with_cache of the operand it stands for. Tables of a stacked
-    cache put a state axis in front of each of these positions: row s
-    holds state s's values. The norm-inequality check in the test suite
-    fills the same fields with squared vector norms (one "Kraus index"
-    per vector, col = [||sum u_t||^2]).
+    in C order. Each operand is built as a per-tuple evaluation builds it
+    (``et + es``, ``et - es``, channels added left to right as ``sum()``
+    does), so each entry is skew_with_cache of its operand (see skew_batch
+    for the BLAS kernels this holds on). A stacked cache puts a state axis
+    in front. The test suite's norm-inequality check fills the same fields
+    with squared vector norms (col = [||sum u_t||^2]).
     """
 
     kraus: np.ndarray
@@ -303,9 +321,8 @@ def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _K
     The operand stack is the Kraus operators, the plus and minus pair
     operands and the n^N column sums, in that order; column sums are built
     only for the slice being evaluated, so operand memory does not grow
-    with n^N. A slice holds SEARCH_CHUNK // d^2 operands (at least one).
-    A stacked cache of S states gives every table a leading state axis,
-    and a slice then holds SEARCH_CHUNK // (S d^2) operands (at least one).
+    with n^N. A slice holds SEARCH_CHUNK // (S d^2) operands (at least one)
+    for a cache of S states (S = 1 for a lone cache).
     """
     ops = np.array(kraus)
     big_n, n, d = ops.shape[:3]
@@ -339,15 +356,12 @@ def _score_chunk(
 ) -> dict[str, np.ndarray]:
     """Bound values of a chunk of tuples, in the order a search offers them.
 
-    ``idx`` holds the Kraus indices, idx[c, t, i] = perms[t][i] of the c-th
-    tuple. Tables with a leading axis of S states score every state on
-    every tuple, in S * C rows ordered state by state. Every bound N
-    allows is scored: lb1/ob1 (N > 2 only), lb2/ob2 with one value per
-    row, lb3/ob3 with shape (rows, len(variants)). The per-tuple formulas
-    are evaluated in the same operation order on the gathered
-    (2, rows, P, n) array of plus and minus terms; it is C-contiguous so
-    that numpy reduces the pair and Kraus axes in the same order as it
-    does for one tuple's (P, n) array.
+    ``idx`` holds the Kraus indices, idx[c, t, i] = perms[t][i] of tuple c.
+    Tables of S states score every state on every tuple, in S * C rows
+    state by state: lb1/ob1 (N > 2 only) and lb2/ob2 one value per row,
+    lb3/ob3 (rows, len(variants)). The per-tuple formulas run in the same
+    operation order on the gathered, C-contiguous (2, rows, P, n) array of
+    plus and minus terms, which numpy reduces as one tuple's (P, n) array.
     """
     big_n, n = idx.shape[1:]
     shape = _shape(big_n, n)
@@ -400,21 +414,16 @@ def tuple_bound_values(
             raise ValueError(f"perms[{t}] = {perm!r} is not a permutation of range({n})")
     idx = np.array(perms, dtype=np.intp)[None]
     scored = _score_chunk(_k_tables(cache, kraus), idx, (0, 1))
-    values: dict[str, float | None] = {
-        name: float(scored[name][0]) if name in scored else None
-        for name in ("lb1", "ob1", "lb2", "ob2")
-    }
-    for name in ("lb3", "ob3"):
-        for x in (0, 1):
-            values[f"{name}_x{x}"] = float(scored[name][0, x])
+    flat = ("lb1", "ob1", "lb2", "ob2")
+    values = {name: float(scored[name][0]) if name in scored else None for name in flat}
+    values.update({f"{n}_x{x}": float(scored[n][0, x]) for n in ("lb3", "ob3") for x in (0, 1)})
     return values
 
 
 def _tuples_at(ids: np.ndarray, big_n: int, n: int) -> np.ndarray:
     """Kraus indices of the tuples at positions ``ids`` in lexicographic order.
 
-    Channel t takes the permutation of digit t of the position; digit 0
-    is always 0, the identity.
+    Channel t takes the permutation of digit t (digit 0 is 0, the identity).
     """
     shape = _shape(big_n, n)
     return shape.perms.take(ids[:, None] // shape.place % len(shape.perms), axis=0)
@@ -440,9 +449,8 @@ def _first_best(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The rule is sequential: the first value offered is taken, and a later
     one replaces the best only if it exceeds it by more than ARGMAX_MARGIN.
-    In a row whose values either equal its maximum or lie more than the
-    margin below it, the rule ends at the first maximum; every other row
-    is followed offer by offer.
+    A row whose values equal its maximum or lie more than the margin below
+    it ends at its first maximum; other rows are followed offer by offer.
     """
     pos = values.argmax(axis=1)
     top = values[np.arange(len(values)), pos]  # the value itself, signed zero included
@@ -459,9 +467,8 @@ def _offers(scored: dict[str, np.ndarray], states: int, width: int) -> np.ndarra
     """Every bound's offers in one scored chunk, one row per (bound, state).
 
     A state offers its values tuple by tuple, ``width`` slots per tuple
-    (one per sign variant). A bound without sign variants fills the first
-    slot of each tuple and offers -inf in the others, which never replaces
-    a best, so one _first_best call serves every bound.
+    (one per sign variant). A bound without variants fills the first slot
+    and offers -inf in the others, which never replaces a best.
     """
     tuples = len(next(iter(scored.values()))) // states
     block = np.full((len(scored), states, tuples, width), -np.inf)
@@ -475,9 +482,8 @@ def _offer(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's best (value, offer position) after offering ``rows``.
 
-    rows[:, 0] is offer position ``first``. The best so far is offered
-    again ahead of the chunk, so a value that does not beat it by the
-    margin leaves it in place; ``best`` is None before the first chunk.
+    rows[:, 0] is offer position ``first``; ``best`` (None at first) is
+    offered again ahead of the chunk and stays unless beaten by the margin.
     """
     if best is None:
         top, pos = _first_best(rows)
@@ -488,61 +494,89 @@ def _offer(
 
 
 def _search_bounds(
-    states: Sequence[DensityMatrix],
+    spectrum: EigenDecomposition,
     kraus: list[list[np.ndarray]],
     params: SkewParams,
     cap: int,
     sign_variant: int | None,
-) -> list[tuple[float, dict[str, tuple[float, PermTuple, int | None]]]]:
-    """Per state, the exact sum and every bound N allows, maximized over one enumeration.
+    report_type: type,
+) -> BoundColumns:
+    """Per state of ``spectrum``, the exact sum and every bound N allows.
 
-    ``kraus`` holds N equally long Kraus lists of one dimension. The tuple
-    count is checked against ``cap`` before any K is evaluated. States are
-    scored in groups that share K tables and chunks: a group holds at most
-    SEARCH_CHUNK // (count d^2) states, so its W, T and K temporaries hold
-    at most SEARCH_CHUNK complex numbers each and a chunk at most
-    SEARCH_CHUNK (state, tuple) rows; a group of one state runs its search
-    chunk after chunk. Tuples are scored in lexicographic order; the result
-    is bit-identical to evaluating every tuple of every state on its own,
-    including which tuple wins a tie.
+    ``kraus`` holds N equally long Kraus lists; the tuple count is checked
+    against ``cap`` before any K is evaluated. A group of at most
+    SEARCH_CHUNK // (count d^2) states (at least one) shares W, T and K
+    tables, scored in chunks of at most SEARCH_CHUNK (state, tuple) rows in
+    lexicographic order: the result is bit-identical to evaluating every
+    tuple of every state on its own, ties included.
     """
     big_n, n, dim = len(kraus), len(kraus[0]), len(kraus[0][0])
     if sign_variant not in (None, 0, 1):
         raise ValueError(f"sign_variant must be 0, 1 or None, got {sign_variant}")
     count = _tuple_count(n, big_n, cap)
-    for k, rho in enumerate(states):
-        if rho.dim != dim:
-            raise ValueError(f"state {k} has dim {rho.dim}, the operators have dim {dim}")
+    lams, vecs = (np.ascontiguousarray(a) for a in spectrum)
+    if lams.shape != vecs.shape[:2] or vecs.shape[1:] != (dim, dim):
+        raise ValueError(f"spectra {lams.shape}, {vecs.shape} do not fit operators of dim {dim}")
     variants = (0, 1) if sign_variant is None else (sign_variant,)
+    names = ("lb1", "ob1")[: 2 * (big_n > 2)] + ("lb2", "ob2", "lb3", "ob3")  # as scored
+    values = np.empty((len(names), len(lams)))
+    pos = np.empty((len(names), len(lams)), dtype=np.intp)  # offer positions
+    k = np.empty((big_n * n, len(lams)))  # K of the Kraus operators, one row each
     group = max(1, SEARCH_CHUNK // (count * dim * dim))
     step = min(count, SEARCH_CHUNK)
-    out = []
-    for g in range(0, len(states), group):
-        part = states[g : g + group]
-        tables = _k_tables(_stacked_weighted_ops(part, params), kraus)
+    for g in range(0, len(lams), group):
+        part = slice(g, g + group)
+        cache = _stacked_weighted_ops(EigenDecomposition(lams[part], vecs[part]), params)
+        tables = _k_tables(cache, kraus)
+        size = len(tables.kraus)
         best = None  # (value, offer position) per (bound, state) row
         for lo in range(0, count, step):
             idx = _tuples_at(np.arange(lo, min(lo + step, count)), big_n, n)
-            scored = _score_chunk(tables, idx, variants)
-            best = _offer(best, _offers(scored, len(part), len(variants)), lo * len(variants))
-        names = list(scored)
-        entries = []  # (state, bound, value, tuple position, sign variant)
-        for row, (v, p) in enumerate(zip(*(a.tolist() for a in best))):
-            name = names[row // len(part)]
-            tuple_id, slot = divmod(p, len(variants))
-            x = variants[slot] if name in ("lb3", "ob3") else None
-            entries.append((row % len(part), name, v, tuple_id, x))
-        # each winning tuple of the group decoded once, all in one call
-        ids = sorted({e[3] for e in entries})
-        winners = _tuples_at(np.array(ids), big_n, n).tolist()
-        perms = dict(zip(ids, (tuple(map(tuple, w)) for w in winners)))
-        found: list[dict] = [{} for _ in part]
-        for s, name, v, tuple_id, x in entries:
-            found[s][name] = (v, perms[tuple_id], x)
-        # Python's sum, not np.sum: the sum of the K values in order, one at a time
-        sums = tables.kraus.reshape(len(part), -1).tolist()
-        out += [(sum(terms), f) for terms, f in zip(sums, found)]
-    return out
+            offers = _offers(_score_chunk(tables, idx, variants), size, len(variants))
+            best = _offer(best, offers, lo * len(variants))
+        values[:, part] = best[0].reshape(len(names), size)
+        pos[:, part] = best[1].reshape(len(names), size)
+        k[:, part] = tables.kraus.T
+    # Python's sum, 0 + k_0 + k_1 + ..., adds one term at a time, as
+    # add.accumulate does (np.sum pairs the terms up from 8 on); + 0.0 gives
+    # the +0.0 that sum's int start gives an all -0.0 column
+    total = np.add.accumulate(k)[-1] + 0.0
+    tuple_id, slot = np.divmod(pos, len(variants))
+    ids = np.array(sorted(set(tuple_id.ravel().tolist())), dtype=np.intp)
+    x = np.array(variants)[slot]
+    return BoundColumns(
+        report_type=report_type,
+        sum=total,
+        values=dict(zip(names, values)),
+        winner=dict(zip(names, ids.searchsorted(tuple_id))),
+        x={name: x[j] for j, name in enumerate(names) if name in ("lb3", "ob3")},
+        tuples=[tuple(map(tuple, w)) for w in _tuples_at(ids, big_n, n).tolist()],
+    )
+
+
+def _stacked_spectrum(states: Sequence[DensityMatrix], kraus: list[list[np.ndarray]]):
+    """The states' spectra as one stack; each state must have the operators' dim."""
+    dim = len(kraus[0][0])
+    for k, rho in enumerate(states):
+        if rho.dim != dim:
+            raise ValueError(f"state {k} has dim {rho.dim}, the operators have dim {dim}")
+    lams, vecs = (np.array([rho.spectrum[j] for rho in states]) for j in (0, 1))
+    return EigenDecomposition(lams.reshape(-1, dim), vecs.reshape(-1, dim, dim))
+
+
+def channel_bound_columns(
+    spectrum: EigenDecomposition,
+    channels: Sequence[KrausChannel],
+    params: SkewParams,
+    cap: int = DEFAULT_TUPLE_CAP,
+    sign_variant: int | None = SIGN_VARIANT_DEFAULT,
+) -> BoundColumns:
+    """The channel bounds of every state of a spectrum stack, as columns.
+
+    ``spectrum`` holds the (S, d) eigenvalues and (S, d, d) eigenvectors of
+    validated states (as from bloch_spectra); ``cap`` counts one state's tuples.
+    """
+    return _search_bounds(spectrum, _padded_kraus(channels), params, cap, sign_variant, BoundReport)
 
 
 def channel_bound_reports(
@@ -557,20 +591,9 @@ def channel_bound_reports(
     The states share the channels and params; ``cap`` counts the tuples
     of one state's search. An empty list of states gives [].
     """
-    found_per_state = _search_bounds(states, _padded_kraus(channels), params, cap, sign_variant)
-    return [
-        BoundReport(
-            sum=total,
-            ob1=found["ob1"][0] if "ob1" in found else None,
-            ob2=found["ob2"][0],
-            ob3=found["ob3"][0],
-            lb1=found["lb1"][0] if "lb1" in found else None,
-            lb2=found["lb2"][0],
-            lb3=found["lb3"][0],
-            argmax={name: BoundArgmax(perms=perms, x=x) for name, (_, perms, x) in found.items()},
-        )
-        for total, found in found_per_state
-    ]
+    kraus = _padded_kraus(channels)
+    spectrum = _stacked_spectrum(states, kraus)
+    return _search_bounds(spectrum, kraus, params, cap, sign_variant, BoundReport).reports()
 
 
 def channel_bound_report(
@@ -587,30 +610,29 @@ def channel_bound_report(
 # --- unitary channels: one-Kraus channels, so a single tuple -----------------
 
 
-def unitary_bound_reports(
-    states: Sequence[DensityMatrix], unitaries: Sequence[UnitaryOp], params: SkewParams
-) -> list[UnitaryBoundReport]:
-    """unitary_bound_report of every state, from one stacked search.
-
-    The states share the unitaries and params. An empty list of states
-    gives [].
-    """
+def _unitary_kraus(unitaries: Sequence[UnitaryOp]) -> list[list[np.ndarray]]:
     if len(unitaries) < 2:
         raise ValueError(f"need at least 2 unitaries, got {len(unitaries)}")
     for k, u in enumerate(unitaries):
         if u.dim != unitaries[0].dim:
             raise ValueError(f"unitary {k} has dim {u.dim}, unitary 0 has dim {unitaries[0].dim}")
-    found_per_state = _search_bounds(states, [[u.mat] for u in unitaries], params, 1, None)
-    return [
-        UnitaryBoundReport(
-            sum=total,
-            lb1=found["lb1"][0] if "lb1" in found else None,
-            lb2=found["lb2"][0],
-            lb3=found["lb3"][0],
-            argmax_x=found["lb3"][2],
-        )
-        for total, found in found_per_state
-    ]
+    return [[u.mat] for u in unitaries]
+
+
+def unitary_bound_columns(
+    spectrum: EigenDecomposition, unitaries: Sequence[UnitaryOp], params: SkewParams
+) -> BoundColumns:
+    """The unitary bounds of every state of a stacked spectrum, as columns."""
+    return _search_bounds(spectrum, _unitary_kraus(unitaries), params, 1, None, UnitaryBoundReport)
+
+
+def unitary_bound_reports(
+    states: Sequence[DensityMatrix], unitaries: Sequence[UnitaryOp], params: SkewParams
+) -> list[UnitaryBoundReport]:
+    """unitary_bound_report of every state, from one stacked search; [] for no states."""
+    kraus = _unitary_kraus(unitaries)
+    spectrum = _stacked_spectrum(states, kraus)
+    return _search_bounds(spectrum, kraus, params, 1, None, UnitaryBoundReport).reports()
 
 
 def unitary_bound_report(

@@ -63,16 +63,11 @@ REMIX_TOL = 1e-12
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=0.25, help="exponent alpha (default 0.25)")
-    parser.add_argument(
-        "--beta",
-        type=float,
-        default=None,
-        help="exponent beta (default: 1 - alpha)",
-    )
+    parser.add_argument("--beta", type=float, default=None, help="exponent beta (default: 1 - alpha)")
     parser.add_argument("--gamma", type=float, default=0.25, help="mixing weight gamma (default 0.25)")
 
 
-def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+def _add_grid_flags(parser: argparse.ArgumentParser, radius: float, radius_text: str) -> None:
     parser.add_argument("--theta-start", type=float, default=0.0, help="grid start in radians (default 0)")
     parser.add_argument(
         "--theta-end", type=float, default=math.pi, help="grid end in radians, inclusive (default pi)"
@@ -82,6 +77,12 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=DEFAULT_SWEEP_STEPS,
         help=f"number of grid points including both endpoints (default {DEFAULT_SWEEP_STEPS})",
+    )
+    parser.add_argument(
+        "--bloch-radius",
+        type=float,
+        default=radius,
+        help=f"Bloch radius of the planar state (default {radius_text})",
     )
 
 
@@ -114,25 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="channel-bound CSV over a theta grid")
     p_sweep.add_argument("--q", type=float, default=TABLE1_Q, help=f"damping rate (default {TABLE1_Q})")
     _add_param_flags(p_sweep)
-    _add_grid_flags(p_sweep)
-    p_sweep.add_argument(
-        "--bloch-radius",
-        type=float,
-        default=CHANNEL_BLOCH_RADIUS,
-        help="Bloch radius of the planar state (default sqrt(3)/2)",
-    )
+    _add_grid_flags(p_sweep, CHANNEL_BLOCH_RADIUS, "sqrt(3)/2")
     p_sweep.add_argument("--cap", type=int, default=DEFAULT_TUPLE_CAP, help="permutation-tuple cap")
     p_sweep.add_argument("--out", type=str, default=None, help="CSV path (default: stdout)")
 
     p_usweep = sub.add_parser("unitary-sweep", help="unitary-bound CSV over a theta grid")
     _add_param_flags(p_usweep)
-    _add_grid_flags(p_usweep)
-    p_usweep.add_argument(
-        "--bloch-radius",
-        type=float,
-        default=UNITARY_BLOCH_RADIUS,
-        help="Bloch radius of the planar state (default sqrt(2)/2)",
-    )
+    _add_grid_flags(p_usweep, UNITARY_BLOCH_RADIUS, "sqrt(2)/2")
     p_usweep.add_argument(
         "--printed-u3",
         action="store_true",
@@ -206,36 +195,22 @@ def cmd_table1(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _sweep_config(args, q: float) -> SweepConfig:
+    grid = (args.theta_start, args.theta_end, args.steps)
+    return SweepConfig(*grid, q=q, params=_params_from(args), bloch_radius=args.bloch_radius)
+
+
 def cmd_sweep(args) -> int:
-    cfg = SweepConfig(
-        theta_start=args.theta_start,
-        theta_end=args.theta_end,
-        steps=args.steps,
-        q=args.q,
-        params=_params_from(args),
-        bloch_radius=args.bloch_radius,
-    )
-    rows = channel_sweep(cfg, cap=args.cap)
+    rows = channel_sweep(_sweep_config(args, args.q), cap=args.cap)
     _write_output(args.out, channel_rows_to_csv(rows))
     return 0
 
 
 def cmd_unitary_sweep(args) -> int:
-    cfg = SweepConfig(
-        theta_start=args.theta_start,
-        theta_end=args.theta_end,
-        steps=args.steps,
-        q=0.0,
-        params=_params_from(args),
-        bloch_radius=args.bloch_radius,
-    )
-    rows = unitary_sweep(cfg, printed_u3=args.printed_u3)
+    rows = unitary_sweep(_sweep_config(args, 0.0), printed_u3=args.printed_u3)
     _write_output(args.out, unitary_rows_to_csv(rows))
     frac = lb3_tightest_fraction(rows)
-    print(
-        f"lb3 >= max(lb1, lb2) at {frac:.1%} of {len(rows)} grid points",
-        file=sys.stderr,
-    )
+    print(f"lb3 >= max(lb1, lb2) at {frac:.1%} of {len(rows)} grid points", file=sys.stderr)
     return 0
 
 
@@ -244,9 +219,7 @@ def cmd_bounds(args) -> int:
         rho = _parse_bloch(args.bloch)
     else:
         rho = density_matrix_from_json(_load_json(args.state), path=args.state)
-    channels = [
-        channel_from_json(_load_json(path), path=path) for path in args.channels
-    ]
+    channels = [channel_from_json(_load_json(path), path=path) for path in args.channels]
     params = _params_from(args)
     report = channel_bound_report(rho, channels, params, cap=args.cap)
     payload = {

@@ -1,12 +1,10 @@
 """Dense complex linear algebra for small Hermitian problems.
 
-Everything operates on square ``numpy.ndarray`` matrices with dtype
-complex128, or on (S, d, d) stacks of them where a docstring says so; a
-stack is checked and decomposed in one pass, and each of its matrices comes
-out as the lone call gives it. Eigendecompositions come from LAPACK through
-``numpy.linalg.eigh``: output is byte-identical from run to run on one
-machine, and across platforms it can differ in the last bits with the
-LAPACK build.
+Everything operates on square complex128 ``numpy.ndarray`` matrices, or
+on (S, d, d) stacks of them where a docstring says so, each matrix of a
+stack coming out as the lone call gives it. Eigendecompositions come from
+LAPACK (``numpy.linalg.eigh``): byte-identical from run to run on one
+machine, and across LAPACK builds equal up to the last bits.
 """
 
 from __future__ import annotations
@@ -74,10 +72,9 @@ def eig_hermitian(x: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
     ``x`` is a (d, d) matrix or an (S, d, d) stack, decomposed by one eigh
-    call; eigenvalues come out as (..., d) and eigenvectors as (..., d, d),
-    descending along the last axis. The input is checked to be Hermitian
-    within HERMITIAN_TOL; a LAPACK failure to converge is raised as
-    ConvergenceError.
+    call into (..., d) eigenvalues, descending, and (..., d, d) eigenvectors.
+    It must be Hermitian within HERMITIAN_TOL; LAPACK non-convergence is
+    raised as ConvergenceError.
     """
     a = np.asarray(x, dtype=np.complex128)
     a = as_cmatrix_stack(a) if a.ndim == 3 else as_cmatrix(a)
@@ -98,10 +95,9 @@ def eig_hermitian(x: np.ndarray) -> EigenDecomposition:
 def clamp_psd_eigenvalues(lams: np.ndarray) -> np.ndarray:
     """Zero out rounding-level eigenvalues; reject genuinely negative ones.
 
-    ``lams`` is (d,) or (S, d), one row per matrix. Eigenvalues at or below
-    d * eps * max|lambda| of their own row become exact zeros, so a zero
-    eigenvalue computed as a residue of either sign gives 0^p = 0 for every
-    p > 0, not a value near 1.
+    ``lams`` is (d,) or (S, d). Eigenvalues at or below d * eps * max|lambda|
+    of their row become exact zeros, so a zero eigenvalue computed as a
+    residue of either sign gives 0^p = 0 for every p > 0, not nearly 1.
     """
     if lams.min(initial=0.0) < PSD_EIGENVALUE_FLOOR:
         low = lams.min(axis=-1)

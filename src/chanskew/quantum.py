@@ -2,7 +2,8 @@
 
 States are validated one at a time (``DensityMatrix``, ``bloch_state``) or
 as a stack in one pass (``density_matrices``, ``bloch_states``); both give
-byte-identical states, and a stack costs one eigensolve.
+byte-identical states, and a stack costs one eigensolve. ``bloch_spectra``
+keeps only the stacked spectrum, which is what the bound search reads.
 
 Basis convention: |0> = (1, 0)^T, |1> = (0, 1)^T, Pauli matrices in the
 standard representation. The Kraus matrices below depend on this choice.
@@ -45,11 +46,10 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validated_states(m: np.ndarray) -> tuple[np.ndarray, EigenDecomposition]:
-    """Check a coerced (d, d) matrix or (S, d, d) stack as density matrices.
+def _validated_spectrum(m: np.ndarray) -> EigenDecomposition:
+    """The clamped, frozen spectrum of a coerced (d, d) matrix or (S, d, d) stack.
 
-    One eigensolve (which checks Hermiticity first), then the trace and the
-    PSD clamp; returns the matrix or stack and its clamped spectrum, frozen.
+    One eigensolve (which checks Hermiticity first), then trace and PSD.
     """
     dec = eig_hermitian(m)
     tr = np.trace(m, axis1=-2, axis2=-1)
@@ -59,26 +59,25 @@ def _validated_states(m: np.ndarray) -> tuple[np.ndarray, EigenDecomposition]:
     spectrum = EigenDecomposition(clamp_psd_eigenvalues(dec.eigenvalues), dec.eigenvectors)
     for arr in spectrum:
         arr.flags.writeable = False
-    return _freeze(m), spectrum
+    return spectrum
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace matrix.
 
-    ``spectrum`` is the eigendecomposition the PSD check computes, with
-    rounding-level eigenvalues zeroed (clamp_psd_eigenvalues); the skew
-    information reads it, so a state is decomposed once. To validate many
-    states in one eigensolve, pass their stack to ``density_matrices``.
+    ``spectrum`` is the eigendecomposition of the PSD check, rounding-level
+    eigenvalues zeroed (clamp_psd_eigenvalues); the skew information reads
+    it, so a state is decomposed once. ``density_matrices`` validates a stack.
     """
 
     mat: np.ndarray
     spectrum: EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat, spectrum = _validated_states(as_cmatrix(self.mat))
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "mat", mat)
+        mat = as_cmatrix(self.mat)
+        object.__setattr__(self, "spectrum", _validated_spectrum(mat))
+        object.__setattr__(self, "mat", _freeze(mat))
 
     @property
     def dim(self) -> int:
@@ -88,15 +87,16 @@ class DensityMatrix:
 def density_matrices(stack) -> list[DensityMatrix]:
     """The states of an (S, d, d) stack, validated together in one pass.
 
-    Each state equals ``DensityMatrix(stack[k])`` byte for byte; its
-    ``mat`` and ``spectrum`` are read-only views into one frozen stack. A
-    bad member raises ValueError naming its index, and nothing is returned.
+    Each state equals ``DensityMatrix(stack[k])`` byte for byte, as
+    read-only views into one frozen stack; a bad member raises ValueError
+    naming its index.
     """
     if len(stack) == 0:
         return []
-    mats, spectrum = _validated_states(as_cmatrix_stack(stack))
+    mats = as_cmatrix_stack(stack)
+    spectrum = _validated_spectrum(mats)
     states = []
-    for mat, lams, vecs in zip(mats, *spectrum):
+    for mat, lams, vecs in zip(_freeze(mats), *spectrum):
         rho = object.__new__(DensityMatrix)  # validated above, as part of the stack
         object.__setattr__(rho, "mat", mat)
         object.__setattr__(rho, "spectrum", EigenDecomposition(lams, vecs))
@@ -177,6 +177,18 @@ def bloch_state(r) -> DensityMatrix:
     return DensityMatrix(_bloch_matrices(vec))
 
 
+def _bloch_stack(vectors) -> np.ndarray:
+    """The (S, 2, 2) matrices of an (S, 3) array of Bloch vectors inside the unit ball."""
+    vec = np.asarray(vectors, dtype=np.float64)
+    if vec.ndim != 2 or vec.shape[1] != 3:
+        raise ValueError(f"Bloch vectors must be an (S, 3) array, got shape {vec.shape}")
+    norm = np.linalg.norm(vec, axis=-1)
+    outside = norm > 1.0 + BLOCH_TOL
+    if outside.any():
+        raise_at_first(outside, lambda k: _outside_ball(norm[k]))
+    return _bloch_matrices(vec)
+
+
 def bloch_states(vectors) -> list[DensityMatrix]:
     """Qubit states from an (S, 3) array of Bloch vectors, validated in one pass.
 
@@ -185,14 +197,16 @@ def bloch_states(vectors) -> list[DensityMatrix]:
     """
     if len(vectors) == 0:
         return []
-    vec = np.asarray(vectors, dtype=np.float64)
-    if vec.ndim != 2 or vec.shape[1] != 3:
-        raise ValueError(f"Bloch vectors must be an (S, 3) array, got shape {vec.shape}")
-    norm = np.linalg.norm(vec, axis=-1)
-    outside = norm > 1.0 + BLOCH_TOL
-    if outside.any():
-        raise_at_first(outside, lambda k: _outside_ball(norm[k]))
-    return density_matrices(_bloch_matrices(vec))
+    return density_matrices(_bloch_stack(vectors))
+
+
+def bloch_spectra(vectors) -> EigenDecomposition:
+    """The spectra of ``bloch_states(vectors)`` as (S, 2) and (S, 2, 2) stacks.
+
+    The same checks and eigensolve (which checks the entries are finite),
+    without a DensityMatrix per state.
+    """
+    return _validated_spectrum(_bloch_stack(vectors))
 
 
 def _check_damping_rate(q: float) -> float:

@@ -14,26 +14,26 @@ can report pass/fail at the precision those references carry (6 digits).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .bounds import (
     DEFAULT_TUPLE_CAP,
+    BoundColumns,
     BoundReport,
-    UnitaryBoundReport,
+    channel_bound_columns,
     channel_bound_report,
-    channel_bound_reports,
-    unitary_bound_reports,
+    unitary_bound_columns,
 )
 from .quantum import (
     KrausChannel,
     UnitaryOp,
     amplitude_damping,
     bit_flip,
+    bloch_spectra,
     bloch_state,
-    bloch_states,
     pauli_rotation,
     phase_damping,
 )
@@ -111,18 +111,16 @@ class SweepConfig:
         return np.linspace(self.theta_start, self.theta_end, self.steps)
 
 
-def _planar_vector(theta: float, radius: float) -> tuple[float, float, float]:
-    return (radius * math.cos(theta), radius * math.sin(theta), 0.0)
+def _planar_vectors(thetas, radius: float) -> np.ndarray:
+    """(S, 3) Bloch vectors radius * (cos(theta), sin(theta), 0), by math.cos and math.sin."""
+    t = np.asarray(thetas, dtype=np.float64).tolist()
+    cos, sin = (radius * np.array(list(map(f, t)), dtype=np.float64) for f in (math.cos, math.sin))
+    return np.column_stack((cos, sin, np.zeros(len(t))))
 
 
 def planar_bloch_state(theta: float, radius: float):
     """Qubit state with Bloch vector radius * (cos(theta), sin(theta), 0)."""
-    return bloch_state(_planar_vector(theta, radius))
-
-
-def planar_bloch_states(thetas, radius: float):
-    """``planar_bloch_state`` at every theta, validated as one stack."""
-    return bloch_states([_planar_vector(theta, radius) for theta in thetas])
+    return bloch_state(_planar_vectors([theta], radius)[0])
 
 
 def damping_flip_channels(q: float) -> tuple[KrausChannel, KrausChannel, KrausChannel]:
@@ -133,9 +131,8 @@ def damping_flip_channels(q: float) -> tuple[KrausChannel, KrausChannel, KrausCh
 def eighth_turn_unitaries(printed_u3: bool = False) -> tuple[UnitaryOp, UnitaryOp, UnitaryOp]:
     """The three benchmark rotations exp(i pi s_j / 8), j = 1, 2, 3.
 
-    With ``printed_u3`` the third is replaced by diag(e^{i pi/8}, -e^{i pi/8}),
-    an alternative form sometimes quoted for this configuration (it negates
-    the lower diagonal entry instead of conjugating it).
+    With ``printed_u3`` the third is diag(e^{i pi/8}, -e^{i pi/8}), a form
+    sometimes quoted (it negates the lower entry instead of conjugating it).
     """
     u1 = pauli_rotation(1, math.pi / 8.0)
     u2 = pauli_rotation(2, math.pi / 8.0)
@@ -151,9 +148,8 @@ def remixed_kraus(ch: KrausChannel, angle: float = math.pi / 4.0) -> KrausChanne
     """Equivalent two-operator Kraus set obtained by an orthogonal remix.
 
     F1 = cos(angle) E1 + sin(angle) E2, F2 = -sin(angle) E1 + cos(angle) E2
-    realize the same channel. Since E -> [W, E] T is linear and the remix
-    is an isometry, the summed skew information agrees between the two
-    sets; the selftest asserts that it does.
+    realize the same channel. E -> [W, E] T is linear and the remix an
+    isometry, so the summed skew information agrees (the selftest checks).
     """
     if len(ch.ops) != 2:
         raise ValueError(f"remix needs exactly 2 Kraus operators, got {len(ch.ops)}")
@@ -174,58 +170,60 @@ def channel_config_report(
     return channel_bound_report(rho, damping_flip_channels(q), params, cap=cap)
 
 
-def _abort_on_violations(kind: str, theta: float, violations: list[str]) -> None:
-    if violations:
-        detail = "; ".join(violations)
-        raise RuntimeError(f"{kind} sweep soundness violation at theta={theta!r}: {detail}")
+@dataclass(frozen=True, eq=False)
+class Sweep(Sequence):
+    """A theta sweep's grid and the columns of its one search.
+
+    Its rows are (theta, report), each report built when it is read; the
+    CSV and lb3_tightest_fraction read the arrays.
+    """
+
+    thetas: np.ndarray
+    columns: BoundColumns
+
+    def __len__(self) -> int:
+        return len(self.thetas)
+
+    def __getitem__(self, k: int):
+        k = range(len(self))[k]
+        return float(self.thetas[k]), self.columns.report(k)
 
 
-def _checked_rows(kind: str, thetas, reports) -> list:
-    """(theta, report) rows; raises at the first theta whose report is unsound."""
-    out = []
-    for theta, report in zip(thetas, reports):
-        _abort_on_violations(kind, theta, report.soundness_violations())
-        out.append((float(theta), report))
-    return out
-
-
-def channel_sweep(
-    cfg: SweepConfig, cap: int = DEFAULT_TUPLE_CAP
-) -> list[tuple[float, BoundReport]]:
-    """Bound reports over the theta grid, from one search; every row is soundness-checked."""
+def _sweep(kind: str, cfg: SweepConfig, search, *args, **kwargs) -> Sweep:
+    """search(spectra, *args, **kwargs) over cfg's grid; raises at the first unsound theta."""
     thetas = cfg.grid()
-    states = planar_bloch_states(thetas, cfg.bloch_radius)
-    reports = channel_bound_reports(states, damping_flip_channels(cfg.q), cfg.params, cap=cap)
-    return _checked_rows("channel", thetas, reports)
+    columns = search(bloch_spectra(_planar_vectors(thetas, cfg.bloch_radius)), *args, **kwargs)
+    bad = columns.first_unsound()
+    if bad is not None:
+        detail = "; ".join(columns.report(bad).soundness_violations())
+        raise RuntimeError(f"{kind} sweep soundness violation at theta={thetas[bad]!r}: {detail}")
+    return Sweep(thetas, columns)
 
 
-def unitary_sweep(
-    cfg: SweepConfig, printed_u3: bool = False
-) -> list[tuple[float, UnitaryBoundReport]]:
-    """Unitary bound reports over the theta grid, from one search, soundness-checked."""
-    thetas = cfg.grid()
-    states = planar_bloch_states(thetas, cfg.bloch_radius)
-    reports = unitary_bound_reports(states, eighth_turn_unitaries(printed_u3), cfg.params)
-    return _checked_rows("unitary", thetas, reports)
+def channel_sweep(cfg: SweepConfig, cap: int = DEFAULT_TUPLE_CAP) -> Sweep:
+    """Channel bounds over the theta grid, from one search; every row is soundness-checked."""
+    channels = damping_flip_channels(cfg.q)
+    return _sweep("channel", cfg, channel_bound_columns, channels, cfg.params, cap=cap)
 
 
-def lb3_tightest_fraction(rows: Sequence[tuple[float, UnitaryBoundReport]]) -> float:
+def unitary_sweep(cfg: SweepConfig, printed_u3: bool = False) -> Sweep:
+    """Unitary bounds over the theta grid, from one search, soundness-checked."""
+    unitaries = eighth_turn_unitaries(printed_u3)
+    return _sweep("unitary", cfg, unitary_bound_columns, unitaries, cfg.params)
+
+
+def lb3_tightest_fraction(rows: Sweep) -> float:
     """Fraction of grid points where lb3 >= max(lb1, lb2)."""
-    hits = 0
-    for _, rep in rows:
-        others = [v for v in (rep.lb1, rep.lb2) if v is not None]
-        if rep.lb3 >= max(others):
-            hits += 1
-    return hits / len(rows)
+    v = rows.columns.values
+    others = np.maximum(v["lb1"], v["lb2"]) if "lb1" in v else v["lb2"]
+    return int(np.count_nonzero(v["lb3"] >= others)) / len(rows)
 
 
 def table1_reports(cap: int = DEFAULT_TUPLE_CAP) -> list[tuple[str, BoundReport]]:
     """The four benchmark rows at q = 0.4, from one search."""
-    states = planar_bloch_states([theta for _, theta in TABLE1_THETAS], CHANNEL_BLOCH_RADIUS)
-    reports = channel_bound_reports(
-        states, damping_flip_channels(TABLE1_Q), DEFAULT_PARAMS, cap=cap
-    )
-    return [(label, report) for (label, _), report in zip(TABLE1_THETAS, reports)]
+    spectra = bloch_spectra(_planar_vectors([t for _, t in TABLE1_THETAS], CHANNEL_BLOCH_RADIUS))
+    columns = channel_bound_columns(spectra, damping_flip_channels(TABLE1_Q), DEFAULT_PARAMS, cap=cap)
+    return [(label, report) for (label, _), report in zip(TABLE1_THETAS, columns.reports())]
 
 
 def compare_report(
@@ -240,36 +238,45 @@ def compare_report(
     return out
 
 
-def format_csv(columns: Sequence[str], rows: Sequence[Sequence[float | None]]) -> str:
-    """Deterministic CSV: header, comma-separated, 9 significant digits."""
+def format_csv(columns: Sequence[str], rows: Iterable[Sequence[float | None]]) -> str:
+    """Deterministic CSV: header, comma-separated, 9 significant digits.
+
+    A row is one str.format call on a template with a "{i:.9g}" field per
+    number and nothing where it holds None, so a cell reads as f"{v:.9g}".
+    """
+    templates: dict[tuple[bool, ...], str] = {}
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join("" if v is None else f"{v:.9g}" for v in row))
+        blank = tuple(v is None for v in row) if None in row else (False,) * len(row)
+        if blank not in templates:
+            templates[blank] = ",".join("" if b else f"{{{i}:.9g}}" for i, b in enumerate(blank))
+        lines.append(templates[blank].format(*row))
     return "\n".join(lines) + "\n"
 
 
-def channel_rows_to_csv(rows: Sequence[tuple[float, BoundReport]]) -> str:
-    data = [
-        (theta, rep.sum, rep.ob1, rep.ob2, rep.ob3, rep.lb1, rep.lb2, rep.lb3)
-        for theta, rep in rows
+def _sweep_csv(header: Sequence[str], rows: Sweep) -> str:
+    """format_csv of a sweep's columns; a bound N does not allow is an empty column."""
+    values = rows.columns.values
+    cells = [rows.thetas.tolist(), rows.columns.sum.tolist()] + [
+        values[name].tolist() if name in values else [None] * len(rows) for name in header[2:]
     ]
-    return format_csv(CHANNEL_CSV_COLUMNS, data)
+    return format_csv(header, zip(*cells))
 
 
-def unitary_rows_to_csv(rows: Sequence[tuple[float, UnitaryBoundReport]]) -> str:
-    data = [(theta, rep.sum, rep.lb1, rep.lb2, rep.lb3) for theta, rep in rows]
-    return format_csv(UNITARY_CSV_COLUMNS, data)
+def channel_rows_to_csv(rows: Sweep) -> str:
+    return _sweep_csv(CHANNEL_CSV_COLUMNS, rows)
 
 
-def phase_damping_demo_values(
-    q: float = 0.4, theta: float = math.pi / 2.0
-) -> tuple[float, float]:
+def unitary_rows_to_csv(rows: Sweep) -> str:
+    return _sweep_csv(UNITARY_CSV_COLUMNS, rows)
+
+
+def phase_damping_demo_values(q: float = 0.4, theta: float = math.pi / 2.0) -> tuple[float, float]:
     """Channel skew information for phase damping vs an equivalent Kraus remix.
 
-    Both Kraus sets realize the same map, and the two values agree up to
-    rounding: the channel skew information sum_i K(E_i) does not change
-    under an orthogonal remix of the Kraus set (see ``remixed_kraus``).
-    The bounds, which pair Kraus operators across channels, can change.
+    The two values agree up to rounding: sum_i K(E_i) does not change under
+    an orthogonal remix of the Kraus set (``remixed_kraus``). The bounds,
+    which pair Kraus operators across channels, can change.
     """
     rho = planar_bloch_state(theta, CHANNEL_BLOCH_RADIUS)
     ch = phase_damping(q)

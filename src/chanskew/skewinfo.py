@@ -17,11 +17,9 @@ K over its Kraus operators; a unitary channel's is K of its unitary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .cmatrix import spectral_power
+from .cmatrix import EigenDecomposition, spectral_power
 from .quantum import DensityMatrix, KrausChannel, UnitaryOp
 
 
@@ -47,11 +45,9 @@ class SkewParams:
 class WeightedOperatorCache:
     """Precomputed W and tail power T for one (rho, params) pair.
 
-    Built from the spectrum rho's validation computed (no further
-    eigendecomposition) and shared across all operator evaluations (the
-    permutation search re-evaluates K heavily). A stacked cache
-    (_stacked_weighted_ops) holds the (S, d, d) arrays of S states that
-    share the params.
+    Built from the spectrum rho's validation computed and shared by every
+    operator evaluation; a stacked cache holds the (S, d, d) arrays of S
+    states that share the params.
     """
 
     w: np.ndarray
@@ -59,7 +55,13 @@ class WeightedOperatorCache:
     tail_is_identity: bool
 
 
-def _weighted(lams: np.ndarray, vecs: np.ndarray, params: SkewParams) -> WeightedOperatorCache:
+def _stacked_weighted_ops(spectrum: EigenDecomposition, params: SkewParams) -> WeightedOperatorCache:
+    """W and the tail power of a spectrum.
+
+    (S, d) eigenvalues and (S, d, d) eigenvectors give (S, d, d) stacks,
+    entry k as weighted_ops of state k (bit for bit: see skew_batch).
+    """
+    lams, vecs = spectrum
     ra = spectral_power(lams, vecs, params.alpha)
     rb = spectral_power(lams, vecs, params.beta)
     w = (1.0 - params.gamma) * ra + params.gamma * rb
@@ -70,20 +72,7 @@ def _weighted(lams: np.ndarray, vecs: np.ndarray, params: SkewParams) -> Weighte
 
 def weighted_ops(rho: DensityMatrix, params: SkewParams) -> WeightedOperatorCache:
     """Compute W = (1-gamma) rho^alpha + gamma rho^beta and the tail power."""
-    return _weighted(*rho.spectrum, params)
-
-
-def _stacked_weighted_ops(
-    states: Sequence[DensityMatrix], params: SkewParams
-) -> WeightedOperatorCache:
-    """W and the tail power of every state, as (S, d, d) stacks.
-
-    Entry k equals weighted_ops(states[k], params) bit for bit: the same
-    spectral powers, evaluated on the stacked spectra.
-    """
-    lams = np.array([rho.spectrum.eigenvalues for rho in states])
-    vecs = np.array([rho.spectrum.eigenvectors for rho in states])
-    return _weighted(lams, vecs, params)
+    return _stacked_weighted_ops(rho.spectrum, params)
 
 
 def skew_with_cache(cache: WeightedOperatorCache, e: np.ndarray) -> float:
@@ -104,17 +93,16 @@ def skew_batch(cache: WeightedOperatorCache, ops: np.ndarray) -> np.ndarray:
 
     A stacked cache of S states gives an (S, M) array, row k for state k;
     a lone (d, d) cache is a stack of one. Each product stacks operands by
-    rows, so one BLAS call serves many (state, operand) pairs: W E of
-    every state is one (S d, d) @ (d, d) product per operand, E W of every
-    operand one (M d, d) @ (d, d) product per state, and [W, E] T one
-    (M d, d) @ (d, d) product per state (none when T = I). That is M + 2S
-    products, not 3 S M. Each value equals skew_with_cache of that
-    (C-contiguous) operator bit for bit, which the tests pin: the BLAS
-    computes each output row of a row-stacked product as it computes that
-    row alone. Stacking by columns (W @ [E_1 ... E_M]) or the transpose
-    form (E^T W^T)^T does not round as the single products do. Each row is
-    reduced by the stacked conj(row) @ row product, which rounds as
-    np.vdot does (np.einsum and an explicit re^2 + im^2 sum do not).
+    rows: W E of every state is one (S d, d) @ (d, d) product per operand,
+    E W and [W, E] T one (M d, d) @ (d, d) product each per state (none for
+    T = I), so M + 2S products, not 3 S M. On the SkylakeX and CooperLake
+    OpenBLAS kernels each value equals skew_with_cache of that
+    (C-contiguous) operator bit for bit, as the tests pin; other kernels
+    round some rows of a row-stacked product otherwise at some d > 2, where
+    a stacked K can then differ in the last bits (ROADMAP item 1). Stacking
+    by columns (W @ [E_1 ... E_M]) or (E^T W^T)^T rounds otherwise even on
+    SkylakeX. Each row is reduced by the stacked conj(row) @ row product,
+    which rounds as np.vdot does (np.einsum and re^2 + im^2 do not).
     """
     w, tail = cache.w, cache.tail
     d = w.shape[-1]

@@ -110,7 +110,7 @@ class TestSweeps:
         cfg = small_config(steps=7)
         channels = damping_flip_channels(cfg.q)
         states = [planar_bloch_state(theta, cfg.bloch_radius) for theta in cfg.grid()]
-        assert channel_sweep(cfg) == [
+        assert list(channel_sweep(cfg)) == [
             (float(theta), channel_bound_report(rho, channels, PARAMS))
             for theta, rho in zip(cfg.grid(), states)
         ]
@@ -118,7 +118,7 @@ class TestSweeps:
         states = [planar_bloch_state(theta, ucfg.bloch_radius) for theta in ucfg.grid()]
         for printed in (False, True):
             unitaries = eighth_turn_unitaries(printed)
-            assert unitary_sweep(ucfg, printed_u3=printed) == [
+            assert list(unitary_sweep(ucfg, printed_u3=printed)) == [
                 (float(theta), unitary_bound_report(rho, unitaries, PARAMS))
                 for theta, rho in zip(ucfg.grid(), states)
             ]
@@ -148,16 +148,17 @@ class TestSweeps:
 
     @pytest.mark.parametrize("kind", ["channel", "unitary"])
     def test_sweep_raises_at_first_unsound_theta(self, monkeypatch, kind):
-        # the reports come from one call; the sweep still names the first
+        # the columns come from one call; the sweep still names the first
         # theta, in grid order, whose report violates soundness
-        name = f"{kind}_bound_reports"
+        name = f"{kind}_bound_columns"
         plural = getattr(repro, name)
 
-        def unsound_at_2_and_4(states, *args, **kwargs):
-            reports = plural(states, *args, **kwargs)
+        def unsound_at_2_and_4(spectra, *args, **kwargs):
+            columns = plural(spectra, *args, **kwargs)
+            lb2 = columns.values["lb2"].copy()
             for k in (4, 2):
-                reports[k] = dataclasses.replace(reports[k], lb2=reports[k].sum + 1.0)
-            return reports
+                lb2[k] = columns.sum[k] + 1.0
+            return dataclasses.replace(columns, values={**columns.values, "lb2": lb2})
 
         monkeypatch.setattr(repro, name, unsound_at_2_and_4)
         cfg = small_config(steps=7)

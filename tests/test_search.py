@@ -412,9 +412,9 @@ def test_large_unitary_batch_splits_into_groups(monkeypatch):
     stack = bounds._stacked_weighted_ops
     sizes = []
 
-    def recording(states, params):
-        sizes.append(len(states))
-        return stack(states, params)
+    def recording(spectrum, params):
+        sizes.append(len(spectrum.eigenvalues))
+        return stack(spectrum, params)
 
     monkeypatch.setattr(bounds, "_stacked_weighted_ops", recording)
     rng = np.random.default_rng(19)

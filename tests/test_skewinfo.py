@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chanskew.cmatrix import EigenDecomposition
 from chanskew.quantum import (
     IDENTITY_2,
     PAULI_1,
@@ -336,7 +337,7 @@ class TestSkewBatch:
             else:
                 params = random_params(rng)
             states = [random_density(rng, dim) for _ in range(s)]
-            stack = _stacked_weighted_ops(states, params)
+            stack = _stacked_weighted_ops(stacked_spectrum(states), params)
             assert stack.tail_is_identity == identity_tail
             ops = np.array([random_matrix(rng, dim) for _ in range(m)])
             ops[rng.random(m) < 0.1] = 0.0
@@ -353,13 +354,19 @@ class TestSkewBatch:
         for dim in (1, 2, 5):
             states = [random_density(rng, dim) for _ in range(3)]
             empty = np.zeros((0, dim, dim), dtype=np.complex128)
-            assert skew_batch(_stacked_weighted_ops(states, HALF), empty).shape == (3, 0)
+            stack = _stacked_weighted_ops(stacked_spectrum(states), HALF)
+            assert skew_batch(stack, empty).shape == (3, 0)
             assert skew_batch(weighted_ops(states[0], HALF), empty).shape == (0,)
 
     def test_shape_mismatch(self, rng):
         cache = weighted_ops(random_density(rng, 2), HALF)
         with pytest.raises(ValueError, match="state is"):
             skew_batch(cache, np.zeros((4, 3, 3), dtype=np.complex128))
+
+
+def stacked_spectrum(states) -> EigenDecomposition:
+    """The states' spectra as one (S, d) and (S, d, d) stack, as the search reads them."""
+    return EigenDecomposition(*(np.array(arrays) for arrays in zip(*(rho.spectrum for rho in states))))
 
 
 def low_rank_density(rng, dim: int, rank: int) -> DensityMatrix:
@@ -387,7 +394,7 @@ class TestStackedWeightedOps:
                 for _ in range(1 + k % 6)
             ]
             params = exponents[k % 4]()
-            stack = _stacked_weighted_ops(states, params)
+            stack = _stacked_weighted_ops(stacked_spectrum(states), params)
             ops = np.array([random_matrix(rng, dim) for _ in range(5)])
             batch = skew_batch(stack, ops)
             assert batch.shape == (len(states), len(ops))
