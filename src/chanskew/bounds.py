@@ -41,7 +41,8 @@ import numpy as np
 
 from .cmatrix import EigenDecomposition
 from .quantum import DensityMatrix, KrausChannel, UnitaryOp
-from .skewinfo import SkewParams, WeightedOperatorCache, _stacked_weighted_ops, skew_batch
+from .skewinfo import SkewParams, WeightedOperatorCache, skew_batch
+from .skewinfo import _in_order_sum, _stacked_weighted_ops
 
 DEFAULT_TUPLE_CAP = 10**6
 SOUNDNESS_TOL = 1e-9
@@ -49,11 +50,13 @@ SQRT_CLAMP_FLOOR = -1e-12
 # a later tuple replaces the argmax only if strictly better than this margin
 ARGMAX_MARGIN = 1e-12
 # (state, tuple) rows scored per vectorized step, which bounds the gathered
-# arrays to SEARCH_CHUNK * P * n floats. A group of S states has S d^2 <=
-# SEARCH_CHUNK (or S = 1), and its K tables are evaluated SEARCH_CHUNK //
-# (S d^2) operands at a time (at least one), so each temporary holds at
-# most max(SEARCH_CHUNK, d^2) complex numbers.
+# terms to 4 * SEARCH_CHUNK * P * n floats (plus, minus and their roots). A
+# group of S states has S d^2 <= SEARCH_CHUNK (or S = 1), and its K tables
+# are evaluated SEARCH_CHUNK // (S d^2) operands at a time (at least one),
+# so each temporary holds at most max(SEARCH_CHUNK, d^2) complex numbers.
 SEARCH_CHUNK = 4096
+# index entries, C n (N + P + 1) intp, up to which a whole search is cached
+WHOLE_SEARCH_CACHE_ITEMS = 2**15
 SIGN_VARIANT_DEFAULT = 1
 
 PermTuple = tuple[tuple[int, ...], ...]
@@ -272,16 +275,41 @@ def _shape(big_n: int, n: int) -> _Shape:
     return shape
 
 
-_libm_pow = np.frompyfunc(math.pow, 2, 1)
-
-
 def _scalar_square(values: np.ndarray) -> np.ndarray:
     """Elementwise ``v ** 2`` as a numpy float64 scalar computes it.
 
-    The scalar operator calls the C library's pow (as math.pow does), which
-    rounds otherwise than v * v (``array ** 2``) on about 1 value in 1000.
+    The scalar operator calls the C library's pow, as float_power does
+    element by element; v * v (``array ** 2``) rounds otherwise on about 1
+    value in 1000, and power with an array exponent on others.
     """
-    return _libm_pow(values, 2.0).astype(np.float64)
+    return np.float_power(values, 2.0)
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order numpy's pairwise sum adds one contiguous row.
+
+    Fewer than 8 terms are added one after another. 8 to 128 terms go to
+    eight lanes (term i to lane i % 8 up to the last multiple of 8), which
+    combine as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) before the
+    remaining terms are added one at a time. Above 128 terms, each half
+    (split at a multiple of 8) is summed by these rules and the two added.
+    """
+    m = len(terms)
+    if m < 8:
+        return _in_order_sum(terms)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _ordered_sum(terms[:half]) + _ordered_sum(terms[half:])
+    tail = m - m % 8
+    lanes = terms[:8] + 0.0
+    for i in range(8, tail, 8):
+        lanes += terms[i : i + 8]
+    pairs = lanes[0::2] + lanes[1::2]
+    acc = pairs[0] + pairs[1]
+    acc += pairs[2] + pairs[3]
+    for term in terms[tail:]:
+        acc += term
+    return acc
 
 
 @dataclass(frozen=True)
@@ -304,6 +332,16 @@ class _KTables:
     plus: np.ndarray
     minus: np.ndarray
     col: np.ndarray
+
+    @functools.cached_property
+    def terms(self) -> np.ndarray:
+        """(4S, P n n): the plus rows, the minus rows, then their clamped roots.
+
+        The roots are taken once per table; a square root is elementwise, and
+        a search reads every entry, so the clamp sees what scoring reads.
+        """
+        both = np.stack((self.plus, self.minus)).reshape(-1, self.plus.shape[-1])
+        return np.concatenate((both, _safe_sqrt(both)))
 
 
 def _column_sums(ops: np.ndarray, radix: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -351,6 +389,20 @@ def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _K
     )
 
 
+def _gather_positions(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where _score_chunk reads the terms of the tuples ``idx`` (C, N, n).
+
+    flat (P n, C): row p n + i holds the position in plus and minus of pair
+    p's terms at Kraus index i; col (n, C): the position in col of index i.
+    """
+    chunk, big_n, n = idx.shape
+    shape = _shape(big_n, n)
+    kraus = np.ascontiguousarray(idx.transpose(1, 2, 0))  # (N, n, C)
+    flat = shape.pair_base[:, :, None] + kraus[shape.pairs[:, 0]] * n + kraus[shape.pairs[:, 1]]
+    col = (shape.radix @ kraus.reshape(big_n, -1)).reshape(n, chunk)
+    return flat.reshape(-1, chunk), col
+
+
 def _score_chunk(
     tables: _KTables, idx: np.ndarray, variants: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
@@ -359,27 +411,33 @@ def _score_chunk(
     ``idx`` holds the Kraus indices, idx[c, t, i] = perms[t][i] of tuple c.
     Tables of S states score every state on every tuple, in S * C rows
     state by state: lb1/ob1 (N > 2 only) and lb2/ob2 one value per row,
-    lb3/ob3 (rows, len(variants)). The per-tuple formulas run in the same
-    operation order on the gathered, C-contiguous (2, rows, P, n) array of
-    plus and minus terms, which numpy reduces as one tuple's (P, n) array.
+    lb3/ob3 (rows, len(variants)). The terms are gathered term-major, one
+    row per (pair, Kraus index) and one column per (state, tuple), and every
+    sum adds them in the order numpy reduces one tuple's C-contiguous
+    (P, n) array: _ordered_sum for a contiguous axis (the P n terms of
+    total, n within a pair, the P lb roots, n ob squares and n col
+    entries), and _in_order_sum for the ob roots over P, a strided axis
+    unless n = 1. The per-tuple formulas run in the same operation order.
     """
-    big_n, n = idx.shape[1:]
-    shape = _shape(big_n, n)
-    flat = np.ascontiguousarray(
-        shape.pair_base + idx[:, shape.pairs[:, 0], :] * n + idx[:, shape.pairs[:, 1], :]
-    )
+    chunk, big_n, n = idx.shape
+    flat, col_idx = getattr(idx, "positions", None) or _gather_positions(idx)
+    gathered = tables.terms.take(flat, axis=1).swapaxes(0, 1)  # (P n, 4S, C)
+    rows = gathered.shape[1] // 2  # 2S: the plus rows, then the minus rows
+    k = gathered[:, :rows]
+    by_pair = (len(flat) // n, n, rows, chunk)
     # row 0 of total and of each spread holds the plus terms, row 1 the minus
-    gathered = np.stack((tables.plus, tables.minus))[..., flat]
-    k = np.ascontiguousarray(gathered).reshape((2, -1) + flat.shape[1:])
-    total = k.sum(axis=(2, 3))
-    lb_spread = _scalar_square(_safe_sqrt(k.sum(axis=3)).sum(axis=2))
-    ob_spread = (_safe_sqrt(k).sum(axis=2) ** 2).sum(axis=2)
+    total = _ordered_sum(k).reshape(2, -1)
+    inner = _ordered_sum(k.reshape(by_pair).swapaxes(0, 1))  # (P, 2S, C)
+    lb_spread = _scalar_square(_ordered_sum(_safe_sqrt(inner))).reshape(2, -1)
+    over_pairs = _ordered_sum if n == 1 else _in_order_sum
+    ob_roots = over_pairs(gathered[:, rows:].reshape(by_pair))  # (n, 2S, C)
+    ob_spread = _ordered_sum(ob_roots**2).reshape(2, -1)
     out = {}
     if big_n > 2:
         out["lb1"] = (total[0] - lb_spread[0] / (big_n - 1) ** 2) / (big_n - 2)
         out["ob1"] = (total[0] - ob_spread[0] / (big_n - 1) ** 2) / (big_n - 2)
-    col_idx = np.ascontiguousarray(shape.radix @ idx)
-    mean = np.ascontiguousarray(tables.col[..., col_idx]).reshape(-1, n).sum(axis=1) / big_n
+    col = tables.col.reshape(-1, tables.col.shape[-1]).take(col_idx, axis=1)  # (S, n, C)
+    mean = _ordered_sum(col.swapaxes(0, 1)).reshape(-1) / big_n
     out["lb2"] = mean + 2.0 * lb_spread[1] / (big_n**2 * (big_n - 1))
     out["ob2"] = mean + 2.0 * ob_spread[1] / (big_n**2 * (big_n - 1))
     for name, spread in (("lb3", lb_spread), ("ob3", ob_spread)):
@@ -427,6 +485,31 @@ def _tuples_at(ids: np.ndarray, big_n: int, n: int) -> np.ndarray:
     """
     shape = _shape(big_n, n)
     return shape.perms.take(ids[:, None] // shape.place % len(shape.perms), axis=0)
+
+
+class _ChunkIndex(np.ndarray):
+    """Read-only Kraus indices carrying ``positions``, their _gather_positions.
+
+    A view or a copy has no positions; _score_chunk gathers its own.
+    """
+
+    positions: tuple[np.ndarray, np.ndarray]
+
+
+@functools.lru_cache(maxsize=8)
+def _whole_search(big_n: int, n: int) -> _ChunkIndex:
+    """Every tuple of a search over N channels of n Kraus operators, as one chunk.
+
+    The groups of a stacked search and repeated searches of one shape reuse
+    it. A search takes it only up to WHOLE_SEARCH_CACHE_ITEMS index entries,
+    so the cache holds at most 8 * 2^15 intp (2 MiB).
+    """
+    idx = _tuples_at(np.arange(math.factorial(n) ** (big_n - 1)), big_n, n)
+    chunk = idx.view(_ChunkIndex)
+    chunk.positions = _gather_positions(idx)
+    for arr in (chunk, *chunk.positions):
+        arr.flags.writeable = False
+    return chunk
 
 
 def _sequential_best(values: np.ndarray) -> tuple[float, int]:
@@ -524,6 +607,8 @@ def _search_bounds(
     k = np.empty((big_n * n, len(lams)))  # K of the Kraus operators, one row each
     group = max(1, SEARCH_CHUNK // (count * dim * dim))
     step = min(count, SEARCH_CHUNK)
+    pairs = big_n * (big_n - 1) // 2
+    whole = step == count and count * n * (big_n + pairs + 1) <= WHOLE_SEARCH_CACHE_ITEMS
     for g in range(0, len(lams), group):
         part = slice(g, g + group)
         cache = _stacked_weighted_ops(EigenDecomposition(lams[part], vecs[part]), params)
@@ -531,16 +616,18 @@ def _search_bounds(
         size = len(tables.kraus)
         best = None  # (value, offer position) per (bound, state) row
         for lo in range(0, count, step):
-            idx = _tuples_at(np.arange(lo, min(lo + step, count)), big_n, n)
+            if whole:
+                idx = _whole_search(big_n, n)
+            else:
+                idx = _tuples_at(np.arange(lo, min(lo + step, count)), big_n, n)
             offers = _offers(_score_chunk(tables, idx, variants), size, len(variants))
             best = _offer(best, offers, lo * len(variants))
         values[:, part] = best[0].reshape(len(names), size)
         pos[:, part] = best[1].reshape(len(names), size)
         k[:, part] = tables.kraus.T
-    # Python's sum, 0 + k_0 + k_1 + ..., adds one term at a time, as
-    # add.accumulate does (np.sum pairs the terms up from 8 on); + 0.0 gives
-    # the +0.0 that sum's int start gives an all -0.0 column
-    total = np.add.accumulate(k)[-1] + 0.0
+    # the Kraus terms in order, as Python's sum() adds them (np.sum pairs
+    # the terms up from 8 on)
+    total = _in_order_sum(k)
     tuple_id, slot = np.divmod(pos, len(variants))
     ids = np.array(sorted(set(tuple_id.ravel().tolist())), dtype=np.intp)
     x = np.array(variants)[slot]

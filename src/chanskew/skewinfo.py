@@ -121,6 +121,19 @@ def skew_batch(cache: WeightedOperatorCache, ops: np.ndarray) -> np.ndarray:
     return k if w.ndim == 3 else k[0]
 
 
+def _in_order_sum(terms):
+    """terms[0] + terms[1] + ..., one term after another, over axis 0.
+
+    This is Python's sum() of floats up to 3.11 (3.12 compensates) and the
+    order in which numpy reduces a strided axis. + 0.0 gives an all -0.0 sum
+    the +0.0 that sum()'s start of 0 gives.
+    """
+    total = terms[0] + 0.0
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 def skew_info_op(rho: DensityMatrix, e: np.ndarray, params: SkewParams) -> float:
     """Skew information of one operator; always >= 0."""
     return skew_with_cache(weighted_ops(rho, params), e)
@@ -131,7 +144,7 @@ def skew_info_channel(rho: DensityMatrix, ch: KrausChannel, params: SkewParams) 
     if ch.dim != rho.dim:
         raise ValueError(f"channel dim {ch.dim} does not match state dim {rho.dim}")
     cache = weighted_ops(rho, params)
-    return sum(skew_batch(cache, np.array(ch.ops)).tolist())
+    return _in_order_sum(skew_batch(cache, np.array(ch.ops)).tolist())
 
 
 def skew_info_unitary(rho: DensityMatrix, u: UnitaryOp, params: SkewParams) -> float:

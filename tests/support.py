@@ -15,6 +15,9 @@ seeded qubit-state, parameter and unitary generators are the package's
 own (``chanskew.repro``), which ``selftest`` uses.
 """
 
+import functools
+import operator
+
 import numpy as np
 
 from chanskew.bounds import (
@@ -32,6 +35,12 @@ from chanskew.bounds import UnitaryBoundReport
 from chanskew.quantum import DensityMatrix, KrausChannel
 from chanskew.repro import random_params, random_qubit_state, random_unitary  # noqa: F401
 from chanskew.skewinfo import skew_with_cache, weighted_ops
+
+
+def in_order_sum(values):
+    """0 + v_0 + v_1 + ..., one term at a time: Python's sum() of floats up
+    to 3.11 (3.12 compensates, which can move the last bit)."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def eigh_power(mat: np.ndarray, p: float) -> np.ndarray:
@@ -202,11 +211,23 @@ def ob3_value(plain, root, big_n):
     return float(plain.sum() + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
 
 
-def oracle_tuple_values(cache, channels, perms):
-    """tuple_bound_values, one formula call per bound and sign variant."""
-    kraus = _padded_kraus(channels)
-    big_n = len(kraus)
-    plus, minus, col = tuple_terms(cache, kraus, perms)
+def table_terms(tables, perms):
+    """tuple_terms of one tuple, read from the K tables of one state."""
+    big_n, n = len(perms), len(perms[0])
+    pairs = _pair_index(big_n)
+
+    def pair_terms(table):
+        return np.array(
+            [[table[(k * n + perms[t][i]) * n + perms[s][i]] for i in range(n)]
+             for k, (t, s) in enumerate(pairs)]
+        )
+
+    col_at = [np.ravel_multi_index([p[i] for p in perms], (n,) * big_n) for i in range(n)]
+    return pair_terms(tables.plus), pair_terms(tables.minus), tables.col[col_at]
+
+
+def terms_values(plus, minus, col, big_n):
+    """Every bound value of one tuple of N channels from its terms (see tuple_terms)."""
     return {
         "lb1": lb1_value(plus, big_n) if big_n > 2 else None,
         "ob1": ob1_value(plus, big_n) if big_n > 2 else None,
@@ -219,6 +240,12 @@ def oracle_tuple_values(cache, channels, perms):
     }
 
 
+def oracle_tuple_values(cache, channels, perms):
+    """tuple_bound_values, one formula call per bound and sign variant."""
+    plus, minus, col = tuple_terms(cache, _padded_kraus(channels), perms)
+    return terms_values(plus, minus, col, len(channels))
+
+
 def oracle_channel_bound_report(rho, channels, params, sign_variant=1):
     """channel_bound_report by evaluating every tuple in turn.
 
@@ -228,7 +255,7 @@ def oracle_channel_bound_report(rho, channels, params, sign_variant=1):
     kraus = _padded_kraus(channels)
     big_n = len(kraus)
     cache = weighted_ops(rho, params)
-    total = sum(skew_with_cache(cache, op) for ops in kraus for op in ops)
+    total = in_order_sum(skew_with_cache(cache, op) for ops in kraus for op in ops)
     variants = (0, 1) if sign_variant is None else (sign_variant,)
     best = {}
 
@@ -300,7 +327,7 @@ def oracle_unitary_bound_report(rho, unitaries, params):
     kp, km = unitary_terms(cache, mats)
     lb3, x = unitary_lb3_value(kp, km, big_n)
     return UnitaryBoundReport(
-        sum=sum(skew_with_cache(cache, m) for m in mats),
+        sum=in_order_sum(skew_with_cache(cache, m) for m in mats),
         lb1=unitary_lb1_value(kp, big_n) if big_n > 2 else None,
         lb2=unitary_lb2_value(cache, mats, km, big_n),
         lb3=lb3,
@@ -347,6 +374,6 @@ def norm_inequality_check(vectors, slack: float = 1e-9) -> tuple[bool | None, bo
     )
     # the vectors are one-Kraus "channels": the single tuple, both variants
     scored = _score_chunk(tables, np.zeros((1, big_n, 1), dtype=np.intp), (0, 1))
-    lhs = sum(tables.kraus.tolist()) + slack
+    lhs = in_order_sum(tables.kraus.tolist()) + slack
     holds1 = bool(lhs >= scored["lb1"][0]) if big_n > 2 else None
     return holds1, bool(lhs >= scored["lb2"][0]), bool(np.all(lhs >= scored["lb3"]))

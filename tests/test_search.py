@@ -5,6 +5,7 @@ values and argmax tuples of evaluating every tuple on its own, and, run on
 one-Kraus channels, the unitary bounds computed from their own formulas.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -312,6 +313,117 @@ def test_scalar_square_matches_numpy_scalar_power():
     values = np.random.default_rng(13).random(20000) * 10.0
     want = [np.float64(v) ** 2 for v in values]
     assert bounds._scalar_square(values).tolist() == want
+
+
+def test_scalar_square_matches_numpy_scalar_power_across_magnitudes():
+    # zero, subnormals, squares that underflow or overflow, and random decades
+    rng = np.random.default_rng(29)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, tiny, 3 * tiny, 2.2e-308, 1e-300, 1e-160, 1e154, 1e300, 1.7e308]
+    decades = rng.random(20000) * 10.0 ** rng.integers(-170, 160, size=20000)
+    values = np.concatenate((edges, decades))
+    with np.errstate(over="ignore", under="ignore"):
+        want = [np.float64(v) ** 2 for v in values]
+        assert bounds._scalar_square(values).tolist() == want
+
+
+def synthetic_tables(rng, big_n, n, states=None):
+    """K tables of random values over twelve decades, where the order of a sum
+    shows in its last bits; ``states`` puts a state axis in front."""
+    lead = () if states is None else (states,)
+
+    def draw(size):
+        return rng.random(lead + (size,)) * 10.0 ** rng.integers(-6, 6, size=lead + (size,))
+
+    pair_terms = big_n * (big_n - 1) // 2 * n * n
+    return bounds._KTables(
+        kraus=draw(big_n * n), plus=draw(pair_terms), minus=draw(pair_terms), col=draw(n**big_n)
+    )
+
+
+def state_tables(tables, s):
+    return bounds._KTables(*(getattr(tables, f)[s] for f in ("kraus", "plus", "minus", "col")))
+
+
+def assert_scored_match_oracle(tables, tuples, states=None):
+    big_n = len(tuples[0])
+    scored = bounds._score_chunk(tables, np.array(tuples), (0, 1))
+    for s in range(states or 1):
+        one = tables if states is None else state_tables(tables, s)
+        for c, perms in enumerate(tuples):
+            row = s * len(tuples) + c
+            got = {name: scored[name][row] for name in ("lb1", "ob1", "lb2", "ob2") if name in scored}
+            got.update({f"{n}_x{x}": scored[n][row, x] for n in ("lb3", "ob3") for x in (0, 1)})
+            want = support.terms_values(*support.table_terms(one, perms), big_n)
+            assert got == {k: v for k, v in want.items() if v is not None}, (s, perms)
+
+
+@pytest.mark.parametrize(
+    "big_n,n,states",
+    [
+        (3, 2, None),  # P n = 6: every sum adds one term after another
+        (4, 3, None),  # P n = 18: eight lanes, then a tail of two
+        (5, 2, 3),  # P = 10 pairs with n = 2, on a stack of 3 states
+        (6, 9, None),  # P n = 135: halves split at 64, a multiple of 8
+        (5, 1, None),  # n = 1: the ob roots over P = 10 add pairwise
+        (17, 1, 2),  # n = 1 and P = 136: the P roots split in halves too
+    ],
+)
+def test_score_chunk_adds_in_numpy_order(big_n, n, states):
+    # tuples from a chunk that starts inside a permutation block, and from
+    # random positions; synthetic tables make the order of every sum show
+    rng = np.random.default_rng(100 * big_n + n)
+    tables = synthetic_tables(rng, big_n, n, states)
+    count = math.factorial(n) ** (big_n - 1)
+    lo = min(count - 1, 5)
+    drawn = rng.integers(0, min(count, np.iinfo(np.intp).max), size=4)
+    ids = np.concatenate((np.arange(lo, min(count, lo + 4)), drawn))
+    tuples = [tuple(map(tuple, perms)) for perms in bounds._tuples_at(ids, big_n, n).tolist()]
+    assert_scored_match_oracle(tables, tuples, states)
+
+
+def test_stacked_search_with_chunks_inside_permutations_matches_oracle(monkeypatch, rng):
+    # N = 5 two-Kraus channels (P = 10, n = 2): 16 tuples in chunks of 5, so
+    # boundaries fall inside the last channel's block of two permutations
+    monkeypatch.setattr(bounds, "SEARCH_CHUNK", 5)
+    rho, channels, params = random_config(rng, 2, (2, 2, 2, 2, 2))
+    states = [rho] + [random_density(rng, 2) for _ in range(2)]
+    got = channel_bound_reports(states, channels, params, sign_variant=None)
+    want = [oracle_channel_bound_report(r, channels, params, sign_variant=None) for r in states]
+    assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
+
+
+def test_whole_search_carries_the_positions_it_would_gather():
+    idx = bounds._whole_search(4, 3)
+    assert idx.tolist() == [list(map(list, perms)) for perms in enumerate_tuples(3, 4)]
+    fresh = bounds._gather_positions(np.array(idx))
+    assert all(np.array_equal(got, want) for got, want in zip(idx.positions, fresh))
+    assert not hasattr(idx.copy(), "positions")
+    tables = synthetic_tables(np.random.default_rng(37), 4, 3)
+    cached = bounds._score_chunk(tables, idx, (0, 1))
+    plain = bounds._score_chunk(tables, np.array(idx), (0, 1))
+    assert all(cached[name].tolist() == plain[name].tolist() for name in plain)
+
+
+def test_table_roots_clamp_tiny_negatives_and_reject_larger_ones():
+    rng = np.random.default_rng(31)
+    tables = synthetic_tables(rng, 3, 2)
+    tuples = list(enumerate_tuples(2, 3))
+    # -3e-13 per entry, -6e-13 per pair sum: above SQRT_CLAMP_FLOOR, so
+    # every root of the minus terms is zero and lb2, ob2 are the col mean
+    tiny = dataclasses.replace(tables, minus=np.full_like(tables.minus, -3e-13))
+    assert tiny.terms[3].tolist() == [0.0] * tiny.minus.size
+    assert_scored_match_oracle(tiny, tuples)
+    scored = bounds._score_chunk(tiny, np.array(tuples), (0, 1))
+    for c, perms in enumerate(tuples):
+        col = support.table_terms(tiny, perms)[2]
+        assert scored["lb2"][c] == scored["ob2"][c] == col.sum() / 3
+    # one entry below the floor fails the search, whichever tuple reads it
+    low = tables.plus.copy()
+    low[5] = 2 * bounds.SQRT_CLAMP_FLOOR
+    bad = dataclasses.replace(tables, plus=low)
+    with pytest.raises(ValueError, match="unexpectedly negative"):
+        bounds._score_chunk(bad, np.array(tuples), (0, 1))
 
 
 @pytest.mark.parametrize("dim", [2, 4])
