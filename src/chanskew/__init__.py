@@ -5,18 +5,11 @@ from .bounds import (
     BoundReport,
     UnitaryBoundReport,
     channel_bound_report,
-    channel_bound_reports,
     enumerate_tuples,
     tuple_bound_values,
     unitary_bound_report,
-    unitary_bound_reports,
 )
-from .cmatrix import (
-    ConvergenceError,
-    EigenDecomposition,
-    eig_hermitian,
-    matrix_power,
-)
+from .cmatrix import ConvergenceError, EigenDecomposition, eig_hermitian
 from .quantum import (
     DensityMatrix,
     KrausChannel,
@@ -24,9 +17,7 @@ from .quantum import (
     amplitude_damping,
     bit_flip,
     bloch_state,
-    bloch_states,
     channel_from_json,
-    density_matrices,
     density_matrix_from_json,
     pauli_rotation,
     phase_damping,
@@ -58,17 +49,13 @@ __all__ = [
     "amplitude_damping",
     "bit_flip",
     "bloch_state",
-    "bloch_states",
     "channel_bound_report",
-    "channel_bound_reports",
     "channel_from_json",
     "channel_sweep",
-    "density_matrices",
     "density_matrix_from_json",
     "eig_hermitian",
     "eighth_turn_unitaries",
     "enumerate_tuples",
-    "matrix_power",
     "pauli_rotation",
     "phase_damping",
     "skew_batch",
@@ -78,7 +65,6 @@ __all__ = [
     "skew_with_cache",
     "tuple_bound_values",
     "unitary_bound_report",
-    "unitary_bound_reports",
     "unitary_sweep",
     "weighted_ops",
 ]

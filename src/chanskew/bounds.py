@@ -22,11 +22,11 @@ the channels (or unitaries) and params. channel_bound_columns and
 unitary_bound_columns take the stacked spectrum (bloch_spectra gives it)
 and return a BoundColumns, whose report(k) is state k's BoundReport
 (report.lb2, report.argmax["lb2"].perms, report.argmax["lb3"].x) or
-UnitaryBoundReport (lb3's variant as argmax_x). channel_bound_reports and
-unitary_bound_reports stack the spectra DensityMatrix validation computed;
-a single report is the batch of one. Each report of a batch equals its
-state's lone report bit for bit on the SkylakeX and CooperLake OpenBLAS
-kernels, not on others (ROADMAP item 1).
+UnitaryBoundReport (lb3's variant as argmax_x). channel_bound_report and
+unitary_bound_report search the spectrum DensityMatrix validation computed
+as a stack of one. Each report of a stack equals its state's lone report
+bit for bit on the SkylakeX and CooperLake OpenBLAS kernels, not on others
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -641,14 +641,11 @@ def _search_bounds(
     )
 
 
-def _stacked_spectrum(states: Sequence[DensityMatrix], kraus: list[list[np.ndarray]]):
-    """The states' spectra as one stack; each state must have the operators' dim."""
-    dim = len(kraus[0][0])
-    for k, rho in enumerate(states):
-        if rho.dim != dim:
-            raise ValueError(f"state {k} has dim {rho.dim}, the operators have dim {dim}")
-    lams, vecs = (np.array([rho.spectrum[j] for rho in states]) for j in (0, 1))
-    return EigenDecomposition(lams.reshape(-1, dim), vecs.reshape(-1, dim, dim))
+def _stack_of_one(rho: DensityMatrix, dim: int) -> EigenDecomposition:
+    """rho's spectrum as a stack of one state; rho must have the operators' dim."""
+    if rho.dim != dim:
+        raise ValueError(f"state has dim {rho.dim}, the operators have dim {dim}")
+    return EigenDecomposition(*(arr[None] for arr in rho.spectrum))
 
 
 def channel_bound_columns(
@@ -666,23 +663,6 @@ def channel_bound_columns(
     return _search_bounds(spectrum, _padded_kraus(channels), params, cap, sign_variant, BoundReport)
 
 
-def channel_bound_reports(
-    states: Sequence[DensityMatrix],
-    channels: Sequence[KrausChannel],
-    params: SkewParams,
-    cap: int = DEFAULT_TUPLE_CAP,
-    sign_variant: int | None = SIGN_VARIANT_DEFAULT,
-) -> list[BoundReport]:
-    """channel_bound_report of every state, from one stacked search.
-
-    The states share the channels and params; ``cap`` counts the tuples
-    of one state's search. An empty list of states gives [].
-    """
-    kraus = _padded_kraus(channels)
-    spectrum = _stacked_spectrum(states, kraus)
-    return _search_bounds(spectrum, kraus, params, cap, sign_variant, BoundReport).reports()
-
-
 def channel_bound_report(
     rho: DensityMatrix,
     channels: Sequence[KrausChannel],
@@ -690,8 +670,10 @@ def channel_bound_report(
     cap: int = DEFAULT_TUPLE_CAP,
     sign_variant: int | None = SIGN_VARIANT_DEFAULT,
 ) -> BoundReport:
-    """Exact sum and all six bounds of one state: the batch of one."""
-    return channel_bound_reports([rho], channels, params, cap, sign_variant)[0]
+    """Exact sum and all six bounds of one state: the stack of one."""
+    kraus = _padded_kraus(channels)
+    spectrum = _stack_of_one(rho, len(kraus[0][0]))
+    return _search_bounds(spectrum, kraus, params, cap, sign_variant, BoundReport).report(0)
 
 
 # --- unitary channels: one-Kraus channels, so a single tuple -----------------
@@ -713,17 +695,10 @@ def unitary_bound_columns(
     return _search_bounds(spectrum, _unitary_kraus(unitaries), params, 1, None, UnitaryBoundReport)
 
 
-def unitary_bound_reports(
-    states: Sequence[DensityMatrix], unitaries: Sequence[UnitaryOp], params: SkewParams
-) -> list[UnitaryBoundReport]:
-    """unitary_bound_report of every state, from one stacked search; [] for no states."""
-    kraus = _unitary_kraus(unitaries)
-    spectrum = _stacked_spectrum(states, kraus)
-    return _search_bounds(spectrum, kraus, params, 1, None, UnitaryBoundReport).reports()
-
-
 def unitary_bound_report(
     rho: DensityMatrix, unitaries: Sequence[UnitaryOp], params: SkewParams
 ) -> UnitaryBoundReport:
-    """Exact sum plus the three unitary bounds of one state: the batch of one."""
-    return unitary_bound_reports([rho], unitaries, params)[0]
+    """Exact sum plus the three unitary bounds of one state: the stack of one."""
+    kraus = _unitary_kraus(unitaries)
+    spectrum = _stack_of_one(rho, len(kraus[0][0]))
+    return _search_bounds(spectrum, kraus, params, 1, None, UnitaryBoundReport).report(0)

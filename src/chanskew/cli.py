@@ -32,6 +32,7 @@ from .cmatrix import ConvergenceError
 from .quantum import bloch_state, channel_from_json, density_matrix_from_json
 from .repro import (
     CHANNEL_BLOCH_RADIUS,
+    DEFAULT_PARAMS,
     DEFAULT_SWEEP_STEPS,
     Q02_REFERENCE,
     REFERENCE_TOL,
@@ -40,7 +41,6 @@ from .repro import (
     TABLE1_THETAS,
     SweepConfig,
     UNITARY_BLOCH_RADIUS,
-    channel_config_report,
     channel_rows_to_csv,
     channel_sweep,
     compare_report,
@@ -48,6 +48,7 @@ from .repro import (
     format_csv,
     lb3_tightest_fraction,
     phase_damping_demo_values,
+    planar_bloch_state,
     random_params,
     random_qubit_state,
     random_unitary,
@@ -94,8 +95,11 @@ def _params_from(args) -> SkewParams:
 def _write_output(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"{out}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,7 +256,8 @@ def cmd_selftest(args) -> int:
         mismatches += [f"theta={label} {m}" for m in compare_report(rep, TABLE1_REFERENCE[label])]
     check("table1 reference", not mismatches, "; ".join(mismatches))
 
-    spot = channel_config_report(0.2, math.pi / 2.0)
+    spot_state = planar_bloch_state(math.pi / 2.0, CHANNEL_BLOCH_RADIUS)
+    spot = channel_bound_report(spot_state, damping_flip_channels(0.2), DEFAULT_PARAMS)
     spot_mismatches = compare_report(spot, Q02_REFERENCE)
     check("q=0.2 spot check", not spot_mismatches, "; ".join(spot_mismatches))
 

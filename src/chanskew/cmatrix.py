@@ -113,6 +113,9 @@ def clamp_psd_eigenvalues(lams: np.ndarray) -> np.ndarray:
 def spectral_power(lams: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
     """vecs diag(lams^p) vecs^H; p = 0 gives the identity exactly.
 
+    rho^0 = I also on a singular rho is a convention, not a limit: there
+    rho^p tends to the projector onto the support as p -> 0+.
+
     ``lams`` and ``vecs`` may carry leading stack axes, (..., d) and
     (..., d, d); each matrix of the stack is computed as the unstacked
     call computes it.
@@ -123,15 +126,3 @@ def spectral_power(lams: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
         return eye
     return (vecs * (lams**p)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
-
-def matrix_power(mat: np.ndarray, p: float) -> np.ndarray:
-    """Fractional power of a Hermitian PSD matrix through its eigenbasis.
-
-    p = 0 returns the identity exactly, also on singular input. This is a
-    convention, not a limit: on a singular matrix, mat^p tends to the
-    projector onto the support as p -> 0+, so the result jumps at p = 0.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"power must be in [0, 1], got {p}")
-    dec = eig_hermitian(mat)
-    return spectral_power(clamp_psd_eigenvalues(dec.eigenvalues), dec.eigenvectors, p)

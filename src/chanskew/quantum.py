@@ -1,9 +1,9 @@
 """Validated quantum objects and the standard qubit builders.
 
-States are validated one at a time (``DensityMatrix``, ``bloch_state``) or
-as a stack in one pass (``density_matrices``, ``bloch_states``); both give
-byte-identical states, and a stack costs one eigensolve. ``bloch_spectra``
-keeps only the stacked spectrum, which is what the bound search reads.
+A state is validated on its own (``DensityMatrix``, ``bloch_state``), or
+a stack of qubit states in one pass (``bloch_spectra``), which keeps only
+the stacked spectrum the bound search reads: one eigensolve for the stack,
+each member's bytes as its lone state's ``spectrum``.
 
 Basis convention: |0> = (1, 0)^T, |1> = (0, 1)^T, Pauli matrices in the
 standard representation. The Kraus matrices below depend on this choice.
@@ -15,6 +15,7 @@ a matrix is a list of rows of such pairs, and a channel is
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,6 @@ import numpy as np
 from .cmatrix import (
     EigenDecomposition,
     as_cmatrix,
-    as_cmatrix_stack,
     clamp_psd_eigenvalues,
     eig_hermitian,
     raise_at_first,
@@ -68,7 +68,7 @@ class DensityMatrix:
 
     ``spectrum`` is the eigendecomposition of the PSD check, rounding-level
     eigenvalues zeroed (clamp_psd_eigenvalues); the skew information reads
-    it, so a state is decomposed once. ``density_matrices`` validates a stack.
+    it, so a state is decomposed once.
     """
 
     mat: np.ndarray
@@ -82,26 +82,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-
-def density_matrices(stack) -> list[DensityMatrix]:
-    """The states of an (S, d, d) stack, validated together in one pass.
-
-    Each state equals ``DensityMatrix(stack[k])`` byte for byte, as
-    read-only views into one frozen stack; a bad member raises ValueError
-    naming its index.
-    """
-    if len(stack) == 0:
-        return []
-    mats = as_cmatrix_stack(stack)
-    spectrum = _validated_spectrum(mats)
-    states = []
-    for mat, lams, vecs in zip(_freeze(mats), *spectrum):
-        rho = object.__new__(DensityMatrix)  # validated above, as part of the stack
-        object.__setattr__(rho, "mat", mat)
-        object.__setattr__(rho, "spectrum", EigenDecomposition(lams, vecs))
-        states.append(rho)
-    return states
 
 
 @dataclass(frozen=True)
@@ -177,8 +157,14 @@ def bloch_state(r) -> DensityMatrix:
     return DensityMatrix(_bloch_matrices(vec))
 
 
-def _bloch_stack(vectors) -> np.ndarray:
-    """The (S, 2, 2) matrices of an (S, 3) array of Bloch vectors inside the unit ball."""
+def bloch_spectra(vectors) -> EigenDecomposition:
+    """The spectra of the qubit states of an (S, 3) array of Bloch vectors.
+
+    (S, 2) eigenvalues and (S, 2, 2) eigenvectors, member k byte for byte
+    ``bloch_state(vectors[k]).spectrum``, from one eigensolve (which checks
+    the entries are finite); a vector outside the unit ball raises
+    ValueError naming its index.
+    """
     vec = np.asarray(vectors, dtype=np.float64)
     if vec.ndim != 2 or vec.shape[1] != 3:
         raise ValueError(f"Bloch vectors must be an (S, 3) array, got shape {vec.shape}")
@@ -186,27 +172,7 @@ def _bloch_stack(vectors) -> np.ndarray:
     outside = norm > 1.0 + BLOCH_TOL
     if outside.any():
         raise_at_first(outside, lambda k: _outside_ball(norm[k]))
-    return _bloch_matrices(vec)
-
-
-def bloch_states(vectors) -> list[DensityMatrix]:
-    """Qubit states from an (S, 3) array of Bloch vectors, validated in one pass.
-
-    Each state equals ``bloch_state(vectors[k])`` byte for byte. A vector
-    outside the unit ball raises ValueError naming its index.
-    """
-    if len(vectors) == 0:
-        return []
-    return density_matrices(_bloch_stack(vectors))
-
-
-def bloch_spectra(vectors) -> EigenDecomposition:
-    """The spectra of ``bloch_states(vectors)`` as (S, 2) and (S, 2, 2) stacks.
-
-    The same checks and eigensolve (which checks the entries are finite),
-    without a DensityMatrix per state.
-    """
-    return _validated_spectrum(_bloch_stack(vectors))
+    return _validated_spectrum(_bloch_matrices(vec))
 
 
 def _check_damping_rate(q: float) -> float:
@@ -270,6 +236,8 @@ def _entry_from_json(node, path: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node)
     ):
         raise ValueError(f"{path}: expected a [re, im] number pair, got {node!r}")
+    if not all(abs(v) <= sys.float_info.max for v in node):  # NaN, Infinity, or too large
+        raise ValueError(f"{path}: expected finite numbers, got {node!r}")
     return complex(float(node[0]), float(node[1]))
 
 

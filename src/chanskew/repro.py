@@ -24,7 +24,6 @@ from .bounds import (
     BoundColumns,
     BoundReport,
     channel_bound_columns,
-    channel_bound_report,
     unitary_bound_columns,
 )
 from .quantum import (
@@ -97,6 +96,12 @@ class SweepConfig:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
+        span = self.theta_end - self.theta_start  # inf or NaN unless both ends are finite
+        if not math.isfinite(span):
+            raise ValueError(
+                f"theta_start, theta_end and their span must be finite, "
+                f"got [{self.theta_start}, {self.theta_end}] (span {span})"
+            )
         if not self.theta_start < self.theta_end:
             raise ValueError(
                 f"need theta_start < theta_end, got [{self.theta_start}, {self.theta_end}]"
@@ -156,18 +161,6 @@ def remixed_kraus(ch: KrausChannel, angle: float = math.pi / 4.0) -> KrausChanne
     c, s = math.cos(angle), math.sin(angle)
     e1, e2 = ch.ops
     return KrausChannel(f"{ch.name}_remixed", (c * e1 + s * e2, -s * e1 + c * e2))
-
-
-def channel_config_report(
-    q: float,
-    theta: float,
-    params: SkewParams = DEFAULT_PARAMS,
-    bloch_radius: float = CHANNEL_BLOCH_RADIUS,
-    cap: int = DEFAULT_TUPLE_CAP,
-) -> BoundReport:
-    """Bound report for the benchmark channels at one (q, theta) point."""
-    rho = planar_bloch_state(theta, bloch_radius)
-    return channel_bound_report(rho, damping_flip_channels(q), params, cap=cap)
 
 
 @dataclass(frozen=True, eq=False)

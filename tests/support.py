@@ -32,6 +32,7 @@ from chanskew.bounds import (
     enumerate_tuples,
 )
 from chanskew.bounds import UnitaryBoundReport
+from chanskew.cmatrix import EigenDecomposition
 from chanskew.quantum import DensityMatrix, KrausChannel
 from chanskew.repro import random_params, random_qubit_state, random_unitary  # noqa: F401
 from chanskew.skewinfo import skew_with_cache, weighted_ops
@@ -117,6 +118,11 @@ def skew_two_exponent_hermitian(rho, a_mat, alpha, beta, gamma) -> float:
     w = weighted_mid(rho, alpha, beta, gamma)
     c = w @ a_mat - a_mat @ w
     return -0.5 * np.trace(c @ c @ eigh_power(rho, 1.0 - alpha - beta)).real
+
+
+def stacked_spectrum(states) -> EigenDecomposition:
+    """The states' spectra as one (S, d) and (S, d, d) stack, as the search reads them."""
+    return EigenDecomposition(*(np.array(arrays) for arrays in zip(*(rho.spectrum for rho in states))))
 
 
 # random inputs

@@ -15,13 +15,15 @@ from chanskew.bounds import (
     tuple_bound_values,
     unitary_bound_report,
 )
-from chanskew.cmatrix import eig_hermitian, matrix_power
+from chanskew.cmatrix import eig_hermitian, spectral_power
 from chanskew.repro import (
     Q02_REFERENCE,
     TABLE1_REFERENCE,
-    channel_config_report,
+    CHANNEL_BLOCH_RADIUS,
+    DEFAULT_PARAMS,
     compare_report,
     damping_flip_channels,
+    planar_bloch_state,
     table1_reports,
 )
 from chanskew.skewinfo import SkewParams, skew_info_channel, skew_info_op, weighted_ops
@@ -69,7 +71,8 @@ def test_criterion_1_table1_reproduction():
 
 
 def test_criterion_2_q02_spot_check():
-    rep = channel_config_report(0.2, math.pi / 2)
+    rho = planar_bloch_state(math.pi / 2, CHANNEL_BLOCH_RADIUS)
+    rep = channel_bound_report(rho, damping_flip_channels(0.2), DEFAULT_PARAMS)
     failures = compare_report(rep, Q02_REFERENCE, REFERENCE_TOL)
     _verdict(2, "q=0.2 spot check within 5e-6", failures)
 
@@ -224,10 +227,11 @@ def test_criterion_9_linear_algebra_core():
             failures.append(f"reconstruction {recon:.2e} at trial {k}")
     for k in range(100):
         dim = 2 + k % 5
-        rho = random_density(rng, dim).mat
+        spectrum = random_density(rng, dim).spectrum
         p = rng.random()
         q = rng.random() * (1.0 - p)
-        gap = np.linalg.norm(matrix_power(rho, p) @ matrix_power(rho, q) - matrix_power(rho, p + q))
+        power = [spectral_power(*spectrum, x) for x in (p, q, p + q)]
+        gap = np.linalg.norm(power[0] @ power[1] - power[2])
         if gap > 1e-9:
             failures.append(f"semigroup gap {gap:.2e} at trial {k}")
     _verdict(9, "eigensolver and fractional-power tolerances, 100 each", failures)

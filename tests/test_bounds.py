@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from chanskew import bounds
 from chanskew.bounds import (
+    channel_bound_columns,
     channel_bound_report,
-    channel_bound_reports,
     enumerate_tuples,
     tuple_bound_values,
     unitary_bound_report,
-    unitary_bound_reports,
 )
 from chanskew.quantum import IDENTITY_2, KrausChannel, UnitaryOp
 from chanskew.repro import damping_flip_channels, planar_bloch_state, remixed_kraus
@@ -27,6 +26,7 @@ from support import (
     random_qubit_state,
     random_remix,
     random_unitary,
+    stacked_spectrum,
 )
 
 TABLE_PARAMS = SkewParams(0.25, 0.75, 0.25)
@@ -227,18 +227,16 @@ class TestChannelBounds:
         sizes.clear()
         states = [rho, random_qubit_state(rng), random_qubit_state(rng)]
         with pytest.raises(ValueError, match="needs 216 tuples, above the cap of 215"):
-            channel_bound_reports(states, channels, TABLE_PARAMS, cap=215)
+            channel_bound_columns(stacked_spectrum(states), channels, TABLE_PARAMS, cap=215)
         assert sizes == []
-        assert len(channel_bound_reports(states, channels, TABLE_PARAMS, cap=216)) == 3
+        columns = channel_bound_columns(stacked_spectrum(states), channels, TABLE_PARAMS, cap=216)
+        assert len(columns.reports()) == 3
         assert sizes == [4 * 3 + 2 * 6 * 9 + 3**4]
 
-    def test_batch_names_the_state_whose_dim_differs(self, rng):
-        states = [random_qubit_state(rng), random_qubit_state(rng), random_density(rng, 3)]
-        with pytest.raises(ValueError, match="state 2 has dim 3"):
-            channel_bound_reports(states, damping_flip_channels(0.2), TABLE_PARAMS)
-
-    def test_empty_batch_gives_no_reports(self):
-        assert channel_bound_reports([], damping_flip_channels(0.2), TABLE_PARAMS) == []
+    def test_state_whose_dim_differs_is_rejected(self, rng):
+        rho = random_density(rng, 3)
+        with pytest.raises(ValueError, match="^state has dim 3, the operators have dim 2$"):
+            channel_bound_report(rho, damping_flip_channels(0.2), TABLE_PARAMS)
 
     @pytest.mark.parametrize("kind", ["channel", "unitary"])
     def test_state_is_decomposed_once_per_report(self, monkeypatch, rng, kind):
@@ -361,12 +359,10 @@ class TestUnitaryBounds:
             assert rep.lb2 == pytest.approx(big_n * k, abs=1e-10)
             assert rep.lb3 == pytest.approx(big_n * k, abs=1e-10)
 
-    def test_batch_names_the_state_whose_dim_differs(self, rng):
+    def test_state_whose_dim_differs_is_rejected(self, rng):
         unitaries = [random_unitary(rng) for _ in range(3)]
-        states = [random_qubit_state(rng), random_density(rng, 4)]
-        with pytest.raises(ValueError, match="state 1 has dim 4"):
-            unitary_bound_reports(states, unitaries, TABLE_PARAMS)
-        assert unitary_bound_reports([], unitaries, TABLE_PARAMS) == []
+        with pytest.raises(ValueError, match="^state has dim 4, the operators have dim 2$"):
+            unitary_bound_report(random_density(rng, 4), unitaries, TABLE_PARAMS)
 
     def test_lb1_needs_more_than_two(self, rng):
         rho = random_qubit_state(rng)

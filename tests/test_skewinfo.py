@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanskew.cmatrix import EigenDecomposition
 from chanskew.quantum import (
     IDENTITY_2,
     PAULI_1,
@@ -38,6 +37,7 @@ from support import (
     skew_weighted_arbitrary,
     skew_weighted_hermitian,
     stacked_channel_skew,
+    stacked_spectrum,
     trace_form_skew,
 )
 
@@ -362,11 +362,6 @@ class TestSkewBatch:
         cache = weighted_ops(random_density(rng, 2), HALF)
         with pytest.raises(ValueError, match="state is"):
             skew_batch(cache, np.zeros((4, 3, 3), dtype=np.complex128))
-
-
-def stacked_spectrum(states) -> EigenDecomposition:
-    """The states' spectra as one (S, d) and (S, d, d) stack, as the search reads them."""
-    return EigenDecomposition(*(np.array(arrays) for arrays in zip(*(rho.spectrum for rho in states))))
 
 
 def low_rank_density(rng, dim: int, rank: int) -> DensityMatrix:
