@@ -29,7 +29,6 @@ from .skewinfo import (
     skew_batch,
     skew_info_channel,
     skew_info_op,
-    skew_info_unitary,
     skew_with_cache,
     weighted_ops,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "skew_batch",
     "skew_info_channel",
     "skew_info_op",
-    "skew_info_unitary",
     "skew_with_cache",
     "tuple_bound_values",
     "unitary_bound_report",

@@ -22,7 +22,8 @@ the channels (or unitaries) and params. channel_bound_columns and
 unitary_bound_columns take the stacked spectrum (bloch_spectra gives it)
 and return a BoundColumns, whose report(k) is state k's BoundReport
 (report.lb2, report.argmax["lb2"].perms, report.argmax["lb3"].x) or
-UnitaryBoundReport (lb3's variant as argmax_x). channel_bound_report and
+UnitaryBoundReport (lb3's variant as argmax_x). W and T of each group of
+states come from skewinfo.weighted_ops. channel_bound_report and
 unitary_bound_report search the spectrum DensityMatrix validation computed
 as a stack of one. Each report of a stack equals its state's lone report
 bit for bit on the SkylakeX and CooperLake OpenBLAS kernels, not on others
@@ -41,8 +42,8 @@ import numpy as np
 
 from .cmatrix import EigenDecomposition
 from .quantum import DensityMatrix, KrausChannel, UnitaryOp
-from .skewinfo import SkewParams, WeightedOperatorCache, skew_batch
-from .skewinfo import _in_order_sum, _stacked_weighted_ops
+from .skewinfo import SkewParams, WeightedOperatorCache, skew_batch, weighted_ops
+from .skewinfo import _in_order_sum
 
 DEFAULT_TUPLE_CAP = 10**6
 SOUNDNESS_TOL = 1e-9
@@ -76,15 +77,15 @@ class _Sound:
     _BOUNDS: tuple[str, ...] = ()
     _DOMINANCE: tuple[tuple[str, str], ...] = ()
 
-    def soundness_violations(self, tol: float = SOUNDNESS_TOL) -> list[str]:
+    def soundness_violations(self) -> list[str]:
         """Empty iff every bound is below the sum and lb2/lb3 dominate ob2/ob3."""
         out = []
         for name in self._BOUNDS:
             value = getattr(self, name)
-            if value is not None and value > self.sum + tol:
+            if value is not None and value > self.sum + SOUNDNESS_TOL:
                 out.append(f"{name} = {value!r} exceeds sum = {self.sum!r}")
         for lb, ob in self._DOMINANCE:
-            if getattr(self, lb) < getattr(self, ob) - tol:
+            if getattr(self, lb) < getattr(self, ob) - SOUNDNESS_TOL:
                 out.append(f"{lb} = {getattr(self, lb)!r} below {ob} = {getattr(self, ob)!r}")
         return out
 
@@ -169,14 +170,14 @@ class BoundColumns:
     def reports(self) -> list:
         return [self.report(k) for k in range(len(self))]
 
-    def first_unsound(self, tol: float = SOUNDNESS_TOL) -> int | None:
+    def first_unsound(self) -> int | None:
         """The first state with soundness_violations, by the same comparisons on arrays."""
         bad = np.zeros(len(self), dtype=bool)
         for name in self.report_type._BOUNDS:
             if name in self.values:
-                bad |= self.values[name] > self.sum + tol
+                bad |= self.values[name] > self.sum + SOUNDNESS_TOL
         for lb, ob in self.report_type._DOMINANCE:
-            bad |= self.values[lb] < self.values[ob] - tol
+            bad |= self.values[lb] < self.values[ob] - SOUNDNESS_TOL
         return int(bad.argmax()) if bad.any() else None
 
 
@@ -611,7 +612,7 @@ def _search_bounds(
     whole = step == count and count * n * (big_n + pairs + 1) <= WHOLE_SEARCH_CACHE_ITEMS
     for g in range(0, len(lams), group):
         part = slice(g, g + group)
-        cache = _stacked_weighted_ops(EigenDecomposition(lams[part], vecs[part]), params)
+        cache = weighted_ops(EigenDecomposition(lams[part], vecs[part]), params)
         tables = _k_tables(cache, kraus)
         size = len(tables.kraus)
         best = None  # (value, offer position) per (bound, state) row

@@ -113,14 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
         "table1",
         help="reproduce the q = 0.4 comparison grid and check it against reference values",
     )
-    p_table.add_argument("--cap", type=int, default=DEFAULT_TUPLE_CAP, help="permutation-tuple cap")
     p_table.add_argument("--out", type=str, default=None, help="also write the grid as CSV to this path")
 
     p_sweep = sub.add_parser("sweep", help="channel-bound CSV over a theta grid")
     p_sweep.add_argument("--q", type=float, default=TABLE1_Q, help=f"damping rate (default {TABLE1_Q})")
     _add_param_flags(p_sweep)
     _add_grid_flags(p_sweep, CHANNEL_BLOCH_RADIUS, "sqrt(3)/2")
-    p_sweep.add_argument("--cap", type=int, default=DEFAULT_TUPLE_CAP, help="permutation-tuple cap")
     p_sweep.add_argument("--out", type=str, default=None, help="CSV path (default: stdout)")
 
     p_usweep = sub.add_parser("unitary-sweep", help="unitary-bound CSV over a theta grid")
@@ -173,7 +171,7 @@ def _parse_bloch(text: str):
 
 
 def cmd_table1(args) -> int:
-    rows = table1_reports(cap=args.cap)
+    rows = table1_reports()
     columns = ("ob1", "ob2", "ob3", "lb1", "lb2", "lb3", "sum")
     print(f"q={TABLE1_Q}, alpha=0.25, beta=0.75, gamma=0.25, bloch radius sqrt(3)/2")
     print(f"{'theta':<12}" + "".join(f"{c:>10}" for c in columns))
@@ -205,7 +203,7 @@ def _sweep_config(args, q: float) -> SweepConfig:
 
 
 def cmd_sweep(args) -> int:
-    rows = channel_sweep(_sweep_config(args, args.q), cap=args.cap)
+    rows = channel_sweep(_sweep_config(args, args.q))
     _write_output(args.out, channel_rows_to_csv(rows))
     return 0
 
@@ -239,6 +237,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0; got {args.seed}")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1; got {args.trials}")
     rng = np.random.default_rng(args.seed)
@@ -280,7 +280,7 @@ def cmd_selftest(args) -> int:
     for _ in range(max(1, args.trials // 10)):
         rho = random_qubit_state(rng)
         channels = damping_flip_channels(rng.random())
-        cache = weighted_ops(rho, random_params(rng))
+        cache = weighted_ops(rho.spectrum, random_params(rng))
         perms = tuple(tuple(rng.permutation(2)) for _ in range(3))
         vals = tuple_bound_values(cache, channels, perms)
         if vals["lb2"] < vals["ob2"] - 1e-10 or vals["lb3_x1"] < vals["ob3_x1"] - 1e-10:

@@ -142,8 +142,20 @@ def _bloch_matrices(vec: np.ndarray) -> np.ndarray:
     return 0.5 * (IDENTITY_2 + r1 * PAULI_1 + r2 * PAULI_2 + r3 * PAULI_3)
 
 
-def _outside_ball(norm) -> str:
-    return f"Bloch vector outside unit ball (|r| = {float(norm):.12g})"
+def _check_bloch(vec: np.ndarray) -> None:
+    """Raise ValueError unless each Bloch vector is finite and in the unit ball.
+
+    A (3,) vector is checked alone; an (S, 3) stack names its first bad member.
+    """
+    finite = np.isfinite(vec).all(axis=-1)
+    if not finite.all():
+        raise_at_first(~finite, lambda k: f"Bloch vector must be finite, got {vec[k].tolist()}")
+    norm = np.linalg.norm(vec, axis=-1)
+    outside = norm > 1.0 + BLOCH_TOL
+    if outside.any():
+        raise_at_first(
+            outside, lambda k: f"Bloch vector outside unit ball (|r| = {float(norm[k]):.12g})"
+        )
 
 
 def bloch_state(r) -> DensityMatrix:
@@ -151,9 +163,7 @@ def bloch_state(r) -> DensityMatrix:
     vec = np.asarray(r, dtype=np.float64)
     if vec.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 real components, got shape {vec.shape}")
-    norm = float(np.linalg.norm(vec))
-    if norm > 1.0 + BLOCH_TOL:
-        raise ValueError(_outside_ball(norm))
+    _check_bloch(vec)
     return DensityMatrix(_bloch_matrices(vec))
 
 
@@ -161,17 +171,14 @@ def bloch_spectra(vectors) -> EigenDecomposition:
     """The spectra of the qubit states of an (S, 3) array of Bloch vectors.
 
     (S, 2) eigenvalues and (S, 2, 2) eigenvectors, member k byte for byte
-    ``bloch_state(vectors[k]).spectrum``, from one eigensolve (which checks
-    the entries are finite); a vector outside the unit ball raises
-    ValueError naming its index.
+    ``bloch_state(vectors[k]).spectrum``, from one eigensolve; a vector
+    that is not finite or lies outside the unit ball raises ValueError
+    naming its index.
     """
     vec = np.asarray(vectors, dtype=np.float64)
     if vec.ndim != 2 or vec.shape[1] != 3:
         raise ValueError(f"Bloch vectors must be an (S, 3) array, got shape {vec.shape}")
-    norm = np.linalg.norm(vec, axis=-1)
-    outside = norm > 1.0 + BLOCH_TOL
-    if outside.any():
-        raise_at_first(outside, lambda k: _outside_ball(norm[k]))
+    _check_bloch(vec)
     return _validated_spectrum(_bloch_matrices(vec))
 
 

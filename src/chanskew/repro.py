@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    DEFAULT_TUPLE_CAP,
-    BoundColumns,
-    BoundReport,
-    channel_bound_columns,
-    unitary_bound_columns,
-)
+from .bounds import BoundColumns, BoundReport, channel_bound_columns, unitary_bound_columns
 from .quantum import (
     KrausChannel,
     UnitaryOp,
@@ -182,10 +176,10 @@ class Sweep(Sequence):
         return float(self.thetas[k]), self.columns.report(k)
 
 
-def _sweep(kind: str, cfg: SweepConfig, search, *args, **kwargs) -> Sweep:
-    """search(spectra, *args, **kwargs) over cfg's grid; raises at the first unsound theta."""
+def _sweep(kind: str, cfg: SweepConfig, search, ops) -> Sweep:
+    """search(spectra, ops, cfg.params) over cfg's grid; raises at the first unsound theta."""
     thetas = cfg.grid()
-    columns = search(bloch_spectra(_planar_vectors(thetas, cfg.bloch_radius)), *args, **kwargs)
+    columns = search(bloch_spectra(_planar_vectors(thetas, cfg.bloch_radius)), ops, cfg.params)
     bad = columns.first_unsound()
     if bad is not None:
         detail = "; ".join(columns.report(bad).soundness_violations())
@@ -193,16 +187,14 @@ def _sweep(kind: str, cfg: SweepConfig, search, *args, **kwargs) -> Sweep:
     return Sweep(thetas, columns)
 
 
-def channel_sweep(cfg: SweepConfig, cap: int = DEFAULT_TUPLE_CAP) -> Sweep:
+def channel_sweep(cfg: SweepConfig) -> Sweep:
     """Channel bounds over the theta grid, from one search; every row is soundness-checked."""
-    channels = damping_flip_channels(cfg.q)
-    return _sweep("channel", cfg, channel_bound_columns, channels, cfg.params, cap=cap)
+    return _sweep("channel", cfg, channel_bound_columns, damping_flip_channels(cfg.q))
 
 
 def unitary_sweep(cfg: SweepConfig, printed_u3: bool = False) -> Sweep:
     """Unitary bounds over the theta grid, from one search, soundness-checked."""
-    unitaries = eighth_turn_unitaries(printed_u3)
-    return _sweep("unitary", cfg, unitary_bound_columns, unitaries, cfg.params)
+    return _sweep("unitary", cfg, unitary_bound_columns, eighth_turn_unitaries(printed_u3))
 
 
 def lb3_tightest_fraction(rows: Sweep) -> float:
@@ -212,22 +204,20 @@ def lb3_tightest_fraction(rows: Sweep) -> float:
     return int(np.count_nonzero(v["lb3"] >= others)) / len(rows)
 
 
-def table1_reports(cap: int = DEFAULT_TUPLE_CAP) -> list[tuple[str, BoundReport]]:
+def table1_reports() -> list[tuple[str, BoundReport]]:
     """The four benchmark rows at q = 0.4, from one search."""
     spectra = bloch_spectra(_planar_vectors([t for _, t in TABLE1_THETAS], CHANNEL_BLOCH_RADIUS))
-    columns = channel_bound_columns(spectra, damping_flip_channels(TABLE1_Q), DEFAULT_PARAMS, cap=cap)
+    columns = channel_bound_columns(spectra, damping_flip_channels(TABLE1_Q), DEFAULT_PARAMS)
     return [(label, report) for (label, _), report in zip(TABLE1_THETAS, columns.reports())]
 
 
-def compare_report(
-    report: BoundReport, expected: dict[str, float], tol: float = REFERENCE_TOL
-) -> list[str]:
-    """Mismatch descriptions between a report and reference values."""
+def compare_report(report: BoundReport, expected: dict[str, float]) -> list[str]:
+    """Mismatch descriptions between a report and reference values, within REFERENCE_TOL."""
     out = []
     for column, want in expected.items():
         got = getattr(report, column)
-        if got is None or abs(got - want) > tol:
-            out.append(f"{column}: got {got!r}, expected {want} (tol {tol})")
+        if got is None or abs(got - want) > REFERENCE_TOL:
+            out.append(f"{column}: got {got!r}, expected {want} (tol {REFERENCE_TOL})")
     return out
 
 
@@ -264,15 +254,15 @@ def unitary_rows_to_csv(rows: Sweep) -> str:
     return _sweep_csv(UNITARY_CSV_COLUMNS, rows)
 
 
-def phase_damping_demo_values(q: float = 0.4, theta: float = math.pi / 2.0) -> tuple[float, float]:
-    """Channel skew information for phase damping vs an equivalent Kraus remix.
+def phase_damping_demo_values() -> tuple[float, float]:
+    """Phase damping's skew information vs an equivalent Kraus remix, at table1's q and pi/2.
 
     The two values agree up to rounding: sum_i K(E_i) does not change under
     an orthogonal remix of the Kraus set (``remixed_kraus``). The bounds,
     which pair Kraus operators across channels, can change.
     """
-    rho = planar_bloch_state(theta, CHANNEL_BLOCH_RADIUS)
-    ch = phase_damping(q)
+    rho = planar_bloch_state(math.pi / 2.0, CHANNEL_BLOCH_RADIUS)
+    ch = phase_damping(TABLE1_Q)
     return (
         skew_info_channel(rho, ch, DEFAULT_PARAMS),
         skew_info_channel(rho, remixed_kraus(ch), DEFAULT_PARAMS),

@@ -10,8 +10,10 @@ possibly non-Hermitian) operator E is
 
 The equivalent trace form -1/2 Tr([W, E^H][W, E] rho^(1-alpha-beta)) is
 kept out of the runtime path (it can round slightly negative); the test
-suite checks the equality. A channel's skew information is the sum of
-K over its Kraus operators; a unitary channel's is K of its unitary.
+suite checks the equality. weighted_ops builds W and T from a spectrum,
+one state's or a stack's, for the functions below and the bound search.
+A channel's skew information is the sum of K over its Kraus operators; a
+unitary channel's is K of its unitary, skew_info_op(rho, u.mat, params).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmatrix import EigenDecomposition, spectral_power
-from .quantum import DensityMatrix, KrausChannel, UnitaryOp
+from .quantum import DensityMatrix, KrausChannel
 
 
 @dataclass(frozen=True)
@@ -55,11 +57,13 @@ class WeightedOperatorCache:
     tail_is_identity: bool
 
 
-def _stacked_weighted_ops(spectrum: EigenDecomposition, params: SkewParams) -> WeightedOperatorCache:
-    """W and the tail power of a spectrum.
+def weighted_ops(spectrum: EigenDecomposition, params: SkewParams) -> WeightedOperatorCache:
+    """W = (1-gamma) rho^alpha + gamma rho^beta and the tail power of a spectrum.
 
-    (S, d) eigenvalues and (S, d, d) eigenvectors give (S, d, d) stacks,
-    entry k as weighted_ops of state k (bit for bit: see skew_batch).
+    A state's spectrum ((d,) eigenvalues, (d, d) eigenvectors, as
+    ``rho.spectrum``) gives (d, d) arrays; a stack of S ((S, d), (S, d, d))
+    gives (S, d, d) stacks, entry k as the lone state k gets (bit for bit:
+    see skew_batch).
     """
     lams, vecs = spectrum
     ra = spectral_power(lams, vecs, params.alpha)
@@ -68,11 +72,6 @@ def _stacked_weighted_ops(spectrum: EigenDecomposition, params: SkewParams) -> W
     tail_exp = (1.0 - params.alpha - params.beta) / 2.0
     tail = spectral_power(lams, vecs, tail_exp)
     return WeightedOperatorCache(w=w, tail=tail, tail_is_identity=tail_exp == 0.0)
-
-
-def weighted_ops(rho: DensityMatrix, params: SkewParams) -> WeightedOperatorCache:
-    """Compute W = (1-gamma) rho^alpha + gamma rho^beta and the tail power."""
-    return _stacked_weighted_ops(rho.spectrum, params)
 
 
 def skew_with_cache(cache: WeightedOperatorCache, e: np.ndarray) -> float:
@@ -136,17 +135,12 @@ def _in_order_sum(terms):
 
 def skew_info_op(rho: DensityMatrix, e: np.ndarray, params: SkewParams) -> float:
     """Skew information of one operator; always >= 0."""
-    return skew_with_cache(weighted_ops(rho, params), e)
+    return skew_with_cache(weighted_ops(rho.spectrum, params), e)
 
 
 def skew_info_channel(rho: DensityMatrix, ch: KrausChannel, params: SkewParams) -> float:
     """Skew information of a channel: sum of K over its Kraus operators."""
     if ch.dim != rho.dim:
         raise ValueError(f"channel dim {ch.dim} does not match state dim {rho.dim}")
-    cache = weighted_ops(rho, params)
+    cache = weighted_ops(rho.spectrum, params)
     return _in_order_sum(skew_batch(cache, np.array(ch.ops)).tolist())
-
-
-def skew_info_unitary(rho: DensityMatrix, u: UnitaryOp, params: SkewParams) -> float:
-    """Skew information of the unitary channel rho -> U rho U^H."""
-    return skew_info_op(rho, u.mat, params)

@@ -260,7 +260,7 @@ def oracle_channel_bound_report(rho, channels, params, sign_variant=1):
     """
     kraus = _padded_kraus(channels)
     big_n = len(kraus)
-    cache = weighted_ops(rho, params)
+    cache = weighted_ops(rho.spectrum, params)
     total = in_order_sum(skew_with_cache(cache, op) for ops in kraus for op in ops)
     variants = (0, 1) if sign_variant is None else (sign_variant,)
     best = {}
@@ -329,7 +329,7 @@ def oracle_unitary_bound_report(rho, unitaries, params):
     """unitary_bound_report from the formulas above."""
     mats = [u.mat for u in unitaries]
     big_n = len(mats)
-    cache = weighted_ops(rho, params)
+    cache = weighted_ops(rho.spectrum, params)
     kp, km = unitary_terms(cache, mats)
     lb3, x = unitary_lb3_value(kp, km, big_n)
     return UnitaryBoundReport(

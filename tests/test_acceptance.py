@@ -18,6 +18,7 @@ from chanskew.bounds import (
 from chanskew.cmatrix import eig_hermitian, spectral_power
 from chanskew.repro import (
     Q02_REFERENCE,
+    REFERENCE_TOL,
     TABLE1_REFERENCE,
     CHANNEL_BLOCH_RADIUS,
     DEFAULT_PARAMS,
@@ -47,8 +48,6 @@ from support import (
     trace_form_skew,
 )
 
-REFERENCE_TOL = 5e-6
-
 
 def _verdict(num: int, name: str, failures: list[str]) -> None:
     status = "PASS" if not failures else "FAIL"
@@ -62,9 +61,9 @@ def test_criterion_1_table1_reproduction():
     elapsed = time.perf_counter() - start
     failures = []
     for label, rep in rows:
-        failures += [f"theta={label} {m}" for m in compare_report(rep, TABLE1_REFERENCE[label], REFERENCE_TOL)]
+        failures += [f"theta={label} {m}" for m in compare_report(rep, TABLE1_REFERENCE[label])]
     checked = sum(len(v) for v in TABLE1_REFERENCE.values())
-    assert checked == 28
+    assert checked == 28 and REFERENCE_TOL == 5e-6
     if elapsed >= 5.0:
         failures.append(f"runtime {elapsed:.2f}s exceeds 5s")
     _verdict(1, "table1 28 values within 5e-6, under 5s", failures)
@@ -73,7 +72,7 @@ def test_criterion_1_table1_reproduction():
 def test_criterion_2_q02_spot_check():
     rho = planar_bloch_state(math.pi / 2, CHANNEL_BLOCH_RADIUS)
     rep = channel_bound_report(rho, damping_flip_channels(0.2), DEFAULT_PARAMS)
-    failures = compare_report(rep, Q02_REFERENCE, REFERENCE_TOL)
+    failures = compare_report(rep, Q02_REFERENCE)
     _verdict(2, "q=0.2 spot check within 5e-6", failures)
 
 
@@ -199,7 +198,7 @@ def test_criterion_8_dominance_per_tuple():
     for k in range(100):
         rho = random_qubit_state(rng)
         channels = damping_flip_channels(rng.random())
-        cache = weighted_ops(rho, random_params(rng))
+        cache = weighted_ops(rho.spectrum, random_params(rng))
         for perms in enumerate_tuples(2, 3):
             vals = tuple_bound_values(cache, channels, perms)
             if vals["lb2"] < vals["ob2"] - 1e-10:

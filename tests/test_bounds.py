@@ -16,7 +16,7 @@ from chanskew.bounds import (
 )
 from chanskew.quantum import IDENTITY_2, KrausChannel, UnitaryOp
 from chanskew.repro import damping_flip_channels, planar_bloch_state, remixed_kraus
-from chanskew.skewinfo import SkewParams, skew_info_unitary, weighted_ops
+from chanskew.skewinfo import SkewParams, skew_info_op, weighted_ops
 
 from support import (
     norm_inequality_check,
@@ -134,7 +134,7 @@ class TestChannelBounds:
     def test_argmax_perms_reproduce_reported_value(self):
         rho, channels = table_config(q=0.7, theta=0.9)
         rep = channel_bound_report(rho, channels, TABLE_PARAMS)
-        cache = weighted_ops(rho, TABLE_PARAMS)
+        cache = weighted_ops(rho.spectrum, TABLE_PARAMS)
         vals = tuple_bound_values(cache, channels, rep.argmax["lb2"].perms)
         assert vals["lb2"] == pytest.approx(rep.lb2, abs=1e-14)
         vals = tuple_bound_values(cache, channels, rep.argmax["lb3"].perms)
@@ -166,7 +166,7 @@ class TestChannelBounds:
     def test_dominance_per_fixed_tuple(self, rng):
         for _ in range(25):
             rho, channels, params = random_config(rng)
-            cache = weighted_ops(rho, params)
+            cache = weighted_ops(rho.spectrum, params)
             for perms in enumerate_tuples(2, 3):
                 vals = tuple_bound_values(cache, channels, perms)
                 assert vals["lb2"] >= vals["ob2"] - 1e-10
@@ -180,7 +180,7 @@ class TestChannelBounds:
         # permutation to the identity during enumeration
         for _ in range(10):
             rho, channels, params = random_config(rng)
-            cache = weighted_ops(rho, params)
+            cache = weighted_ops(rho.spectrum, params)
             perms = tuple(tuple(rng.permutation(2)) for _ in range(3))
             base = tuple_bound_values(cache, channels, perms)
             for sigma in itertools.permutations(range(2)):
@@ -202,7 +202,7 @@ class TestChannelBounds:
     def test_fixed_tuple_rejects_malformed_perms(self, perms, match):
         rho, channels = table_config()
         with pytest.raises(ValueError, match=match):
-            tuple_bound_values(weighted_ops(rho, TABLE_PARAMS), channels, perms)
+            tuple_bound_values(weighted_ops(rho.spectrum, TABLE_PARAMS), channels, perms)
 
     def test_cap_is_checked_before_any_k_evaluation(self, monkeypatch, rng):
         batch = bounds.skew_batch
@@ -352,7 +352,7 @@ class TestUnitaryBounds:
             rho = random_qubit_state(rng)
             u = random_unitary(rng)
             params = random_params(rng)
-            k = skew_info_unitary(rho, u, params)
+            k = skew_info_op(rho, u.mat, params)
             rep = unitary_bound_report(rho, [u] * big_n, params)
             assert rep.sum == pytest.approx(big_n * k, abs=1e-12)
             assert rep.lb1 == pytest.approx(big_n * k, abs=1e-10)

@@ -99,7 +99,7 @@ def test_sum_adds_the_kraus_terms_in_order():
     columns = channel_bound_columns(bloch_spectra(vectors), channels, params)
     pairwise_differs = 0
     for k, r in enumerate(vectors):
-        cache = weighted_ops(bloch_state(r), params)
+        cache = weighted_ops(bloch_state(r).spectrum, params)
         terms = [skew_with_cache(cache, op) for ch in channels for op in ch.ops]
         assert columns.sum[k] == sum(terms), k
         alone = channel_bound_columns(bloch_spectra(vectors[k : k + 1]), channels, params)

@@ -71,6 +71,11 @@ class TestBlochState:
         with pytest.raises(ValueError, match="outside unit ball"):
             bloch_state((0.9, 0.9, 0.9))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_component(self, bad):
+        with pytest.raises(ValueError, match=r"^Bloch vector must be finite, got \[0.0, "):
+            bloch_state((0.0, bad, 0.0))
+
     def test_eigenvalues_from_radius(self, rng):
         from chanskew.cmatrix import eig_hermitian
 
@@ -162,6 +167,12 @@ class TestStacks:
         with pytest.raises(ValueError, match=r"stack member 1: Bloch vector outside unit ball"):
             bloch_spectra([(0.0, 0.0, 1.0), (0.9, 0.9, 0.9), (0.0, 0.0, 0.0)])
 
+    def test_nonfinite_bloch_vector_is_named(self):
+        # checked before the norm, which is NaN or inf for such a vector
+        match = r"stack member 2: Bloch vector must be finite, got \[nan, "
+        with pytest.raises(ValueError, match=match):
+            bloch_spectra([(0.0, 0.0, 1.0), (0.9, 0.9, 0.9), (math.nan, 0.0, 0.0)])
+
     def test_wrong_shapes_are_rejected(self):
         with pytest.raises(ValueError, match=r"\(S, 3\)"):
             bloch_spectra(np.zeros((4, 2)))
@@ -176,7 +187,7 @@ class TestStacks:
 class TestChannels:
     @pytest.mark.parametrize("builder", [amplitude_damping, phase_damping, bit_flip])
     def test_rejects_q_out_of_range(self, builder):
-        for bad in (-0.1, 1.0, 1.5):
+        for bad in (-0.1, 1.0, 1.5, math.nan):
             with pytest.raises(ValueError, match="0 <= q < 1"):
                 builder(bad)
 

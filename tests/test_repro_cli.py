@@ -57,10 +57,15 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="theta_start < theta_end"):
             small_config(theta_start=0.0, theta_end=0.0, steps=2)
 
-    @pytest.mark.parametrize("q", [-0.1, 1.0])
+    @pytest.mark.parametrize("q", [-0.1, 1.0, math.nan])
     def test_rejects_bad_q(self, q):
         with pytest.raises(ValueError, match="q"):
             small_config(q=q)
+
+    @pytest.mark.parametrize("radius", [-0.1, 1.5, math.nan])
+    def test_rejects_bad_bloch_radius(self, radius):
+        with pytest.raises(ValueError, match=r"bloch_radius must be in \[0, 1\]"):
+            small_config(bloch_radius=radius)
 
     @pytest.mark.parametrize(
         "start, end",
@@ -336,6 +341,11 @@ class TestCli:
         assert main(["bounds", "--bloch", "1,1", "none.json"]) == 2
         assert "r1,r2,r3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bloch", ["nan,0,0", "inf,0,0"])
+    def test_bounds_nonfinite_bloch_vector_exits_2(self, capsys, bloch):
+        assert main(["bounds", "--bloch", bloch, "none.json"]) == 2
+        assert capsys.readouterr().err.startswith("error: Bloch vector must be finite, got [")
+
     def test_selftest_quick(self, capsys):
         assert main(["selftest", "--trials", "10", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -350,6 +360,12 @@ class TestCli:
         assert "--trials must be at least 1" in captured.err
         assert "PASS" not in captured.out
 
+    def test_selftest_rejects_negative_seed(self, capsys):
+        assert main(["selftest", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be at least 0; got -1\n"
+        assert captured.out == ""
+
     def test_selftest_asserts_remix_invariance(self, monkeypatch, capsys):
         assert main(["selftest", "--trials", "2"]) == 0
         assert "selftest Kraus-remix invariance: ok" in capsys.readouterr().out
@@ -362,8 +378,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["table1", "--cap", "0"],
-            ["sweep", "--steps", "3", "--cap", "-5"],
             ["sweep", "--steps", "0"],
             ["unitary-sweep", "--steps", "1"],
         ],

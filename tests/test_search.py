@@ -135,7 +135,7 @@ def test_batch_all_ties_keep_the_identity_tuple(monkeypatch, rng, chunk):
 
 def test_tuple_values_are_bit_identical_to_oracle():
     for label, (rho, channels, params) in configs(seed=12, count=10):
-        cache = weighted_ops(rho, params)
+        cache = weighted_ops(rho.spectrum, params)
         n = max(len(ch.ops) for ch in channels)
         for perms in itertools.islice(enumerate_tuples(n, len(channels)), 12):
             got = tuple_bound_values(cache, channels, perms)
@@ -157,7 +157,7 @@ def test_every_scored_value_matches_oracle_formulas(monkeypatch, rng, dim, count
 
     monkeypatch.setattr(support, "skew_with_cache", skew)
     rho, channels, params = random_config(rng, dim, counts)
-    cache = weighted_ops(rho, params)
+    cache = weighted_ops(rho.spectrum, params)
     kraus = bounds._padded_kraus(channels)
     tables = bounds._k_tables(cache, kraus)
     tuples = list(enumerate_tuples(len(kraus[0]), len(kraus)))
@@ -188,7 +188,7 @@ def test_k_tables_are_bit_identical_to_single_operand_evaluation(monkeypatch):
         shapes.append((int(rng.choice([1, 2, 3, 4, 8])), counts))
     for dim, counts in shapes:
         rho, channels, params = random_config(rng, dim, counts)
-        cache = weighted_ops(rho, params)
+        cache = weighted_ops(rho.spectrum, params)
         kraus = bounds._padded_kraus(channels)
         big_n, n = len(kraus), len(kraus[0])
         tables = bounds._k_tables(cache, kraus)
@@ -440,7 +440,7 @@ def test_two_channel_identities(rng, dim):
         channels = [random_channel(rng, dim, int(c)) for c in rng.integers(1, 4, size=2)]
         params = random_params(rng)
         total = sum(skew_info_channel(rho, ch, params) for ch in channels)
-        cache = weighted_ops(rho, params)
+        cache = weighted_ops(rho.spectrum, params)
         n = max(len(ch.ops) for ch in channels)
         for perms in enumerate_tuples(n, 2):
             values = tuple_bound_values(cache, channels, perms)
@@ -527,14 +527,14 @@ def test_batch_chunks_hold_at_most_search_chunk_rows(monkeypatch, rng, chunk, co
 def test_large_unitary_batch_splits_into_groups(monkeypatch):
     # 40 one-Kraus states of d = 16: SEARCH_CHUNK // 16^2 = 16 states per
     # group keeps each W, T and K temporary at SEARCH_CHUNK complex numbers
-    stack = bounds._stacked_weighted_ops
+    stack = bounds.weighted_ops
     sizes = []
 
     def recording(spectrum, params):
         sizes.append(len(spectrum.eigenvalues))
         return stack(spectrum, params)
 
-    monkeypatch.setattr(bounds, "_stacked_weighted_ops", recording)
+    monkeypatch.setattr(bounds, "weighted_ops", recording)
     rng = np.random.default_rng(19)
     unitaries = [random_unitary(rng, 16) for _ in range(3)]
     states = [random_density(rng, 16) for _ in range(40)]

@@ -15,11 +15,9 @@ from chanskew.quantum import (
 )
 from chanskew.skewinfo import (
     SkewParams,
-    _stacked_weighted_ops,
     skew_batch,
     skew_info_channel,
     skew_info_op,
-    skew_info_unitary,
     skew_with_cache,
     weighted_ops,
 )
@@ -49,12 +47,21 @@ class TestSkewParams:
     def test_valid(self, a, b, g):
         SkewParams(a, b, g)
 
-    @pytest.mark.parametrize("a,b,g", [(-0.1, 0.5, 0.5), (0.5, -0.1, 0.5), (0.6, 0.6, 0.5)])
+    @pytest.mark.parametrize(
+        "a,b,g",
+        [
+            (-0.1, 0.5, 0.5),
+            (0.5, -0.1, 0.5),
+            (0.6, 0.6, 0.5),
+            (math.nan, 0.5, 0.5),
+            (0.5, math.nan, 0.5),
+        ],
+    )
     def test_invalid_exponents(self, a, b, g):
         with pytest.raises(ValueError, match="alpha"):
             SkewParams(a, b, g)
 
-    @pytest.mark.parametrize("g", [-0.01, 1.01])
+    @pytest.mark.parametrize("g", [-0.01, 1.01, math.nan])
     def test_invalid_gamma(self, g):
         with pytest.raises(ValueError, match="gamma"):
             SkewParams(0.25, 0.5, g)
@@ -63,23 +70,23 @@ class TestSkewParams:
 class TestWeightedOps:
     def test_maximally_mixed_gives_scalar(self):
         params = SkewParams(0.3, 0.6, 0.2)
-        cache = weighted_ops(bloch_state((0, 0, 0)), params)
+        cache = weighted_ops(bloch_state((0, 0, 0)).spectrum, params)
         expected = (0.8 * 2.0**-0.3 + 0.2 * 2.0**-0.6) * IDENTITY_2
         np.testing.assert_allclose(cache.w, expected, atol=1e-14)
 
     def test_tail_identity_when_exponents_sum_to_one(self):
-        cache = weighted_ops(bloch_state((0.3, 0.1, 0.2)), SkewParams(0.25, 0.75, 0.25))
+        cache = weighted_ops(bloch_state((0.3, 0.1, 0.2)).spectrum, SkewParams(0.25, 0.75, 0.25))
         assert cache.tail_is_identity
         np.testing.assert_array_equal(cache.tail, IDENTITY_2)
 
     def test_diagonal_half_powers_ignore_gamma(self):
-        cache = weighted_ops(DensityMatrix(np.diag([0.75, 0.25])), SkewParams(0.5, 0.5, 0.3))
+        cache = weighted_ops(DensityMatrix(np.diag([0.75, 0.25])).spectrum, SkewParams(0.5, 0.5, 0.3))
         np.testing.assert_allclose(cache.w, np.diag([math.sqrt(0.75), 0.5]), atol=1e-14)
 
     def test_w_hermitian_tail_psd(self, rng):
         for _ in range(20):
             rho = random_density(rng, 3)
-            cache = weighted_ops(rho, random_params(rng))
+            cache = weighted_ops(rho.spectrum, random_params(rng))
             assert np.max(np.abs(cache.w - cache.w.conj().T)) <= 1e-10
             assert np.max(np.abs(cache.tail - cache.tail.conj().T)) <= 1e-10
             assert np.linalg.eigvalsh(cache.tail).min() >= -1e-10
@@ -264,9 +271,9 @@ class TestChannelsAndUnitaries:
 
         rho = random_density(rng, 2)
         p = random_params(rng)
-        assert skew_info_unitary(rho, UnitaryOp(IDENTITY_2), p) == 0.0
+        assert skew_info_op(rho, UnitaryOp(IDENTITY_2).mat, p) == 0.0
         phase = UnitaryOp(np.exp(1j * 0.7) * IDENTITY_2)
-        assert skew_info_unitary(rho, phase, p) <= 1e-30
+        assert skew_info_op(rho, phase.mat, p) <= 1e-30
 
     def test_unitary_golden_value(self):
         # theta = 0 benchmark state, first eighth-turn rotation commutes with
@@ -274,8 +281,8 @@ class TestChannelsAndUnitaries:
         # numpy.linalg.eigh evaluation of the defining formula.
         rho = bloch_state((math.sqrt(2) / 2, 0, 0))
         params = SkewParams(0.25, 0.75, 0.25)
-        assert skew_info_unitary(rho, pauli_rotation(1, math.pi / 8), params) <= 1e-15
-        got = skew_info_unitary(rho, pauli_rotation(2, math.pi / 8), params)
+        assert skew_info_op(rho, pauli_rotation(1, math.pi / 8).mat, params) <= 1e-15
+        got = skew_info_op(rho, pauli_rotation(2, math.pi / 8).mat, params)
         assert got == pytest.approx(0.025802571975, abs=1e-9)
 
     def test_q02_published_sum(self):
@@ -291,7 +298,7 @@ class TestChannelsAndUnitaries:
     def test_cache_reuse_matches_fresh_evaluation(self, rng):
         rho = random_density(rng, 2)
         p = random_params(rng)
-        cache = weighted_ops(rho, p)
+        cache = weighted_ops(rho.spectrum, p)
         for _ in range(10):
             e = random_matrix(rng, 2)
             assert skew_with_cache(cache, e) == skew_info_op(rho, e, p)
@@ -310,7 +317,7 @@ class TestSkewBatch:
                 params = SkewParams(alpha, 1.0 - alpha, rng.random())
             else:
                 params = random_params(rng)
-            cache = weighted_ops(random_density(rng, dim), params)
+            cache = weighted_ops(random_density(rng, dim).spectrum, params)
             assert cache.tail_is_identity == identity_tail
             ops = np.array([random_matrix(rng, dim) for _ in range(int(rng.integers(1, 40)))])
             ops[rng.random(len(ops)) < 0.2] = 0.0
@@ -337,14 +344,14 @@ class TestSkewBatch:
             else:
                 params = random_params(rng)
             states = [random_density(rng, dim) for _ in range(s)]
-            stack = _stacked_weighted_ops(stacked_spectrum(states), params)
+            stack = weighted_ops(stacked_spectrum(states), params)
             assert stack.tail_is_identity == identity_tail
             ops = np.array([random_matrix(rng, dim) for _ in range(m)])
             ops[rng.random(m) < 0.1] = 0.0
             batch = skew_batch(stack, ops)
             assert batch.shape == (s, m)
             for k, rho in enumerate(states):
-                cache = weighted_ops(rho, params)
+                cache = weighted_ops(rho.spectrum, params)
                 want = [skew_with_cache(cache, e) for e in ops]
                 assert batch[k].tolist() == want, (s, m, dim, k)
                 if k == 0:  # a lone cache is a stack of one
@@ -354,12 +361,12 @@ class TestSkewBatch:
         for dim in (1, 2, 5):
             states = [random_density(rng, dim) for _ in range(3)]
             empty = np.zeros((0, dim, dim), dtype=np.complex128)
-            stack = _stacked_weighted_ops(stacked_spectrum(states), HALF)
+            stack = weighted_ops(stacked_spectrum(states), HALF)
             assert skew_batch(stack, empty).shape == (3, 0)
-            assert skew_batch(weighted_ops(states[0], HALF), empty).shape == (0,)
+            assert skew_batch(weighted_ops(states[0].spectrum, HALF), empty).shape == (0,)
 
     def test_shape_mismatch(self, rng):
-        cache = weighted_ops(random_density(rng, 2), HALF)
+        cache = weighted_ops(random_density(rng, 2).spectrum, HALF)
         with pytest.raises(ValueError, match="state is"):
             skew_batch(cache, np.zeros((4, 3, 3), dtype=np.complex128))
 
@@ -389,12 +396,12 @@ class TestStackedWeightedOps:
                 for _ in range(1 + k % 6)
             ]
             params = exponents[k % 4]()
-            stack = _stacked_weighted_ops(stacked_spectrum(states), params)
+            stack = weighted_ops(stacked_spectrum(states), params)
             ops = np.array([random_matrix(rng, dim) for _ in range(5)])
             batch = skew_batch(stack, ops)
             assert batch.shape == (len(states), len(ops))
             for s, rho in enumerate(states):
-                cache = weighted_ops(rho, params)
+                cache = weighted_ops(rho.spectrum, params)
                 assert stack.w[s].tobytes() == cache.w.tobytes(), (k, s)
                 assert stack.tail[s].tobytes() == cache.tail.tobytes(), (k, s)
                 assert stack.tail_is_identity == cache.tail_is_identity
