@@ -378,6 +378,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["sweep", "--steps", "-3"],
+            ["unitary-sweep", "--steps", "0"],
             ["sweep", "--steps", "0"],
             ["unitary-sweep", "--steps", "1"],
         ],
