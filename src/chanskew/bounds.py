@@ -56,7 +56,7 @@ ARGMAX_MARGIN = 1e-12
 # are evaluated SEARCH_CHUNK // (S d^2) operands at a time (at least one),
 # so each temporary holds at most max(SEARCH_CHUNK, d^2) complex numbers.
 SEARCH_CHUNK = 4096
-# index entries, C n (N + P + 1) intp, up to which a whole search is cached
+# index entries, C n (N + P + 1) intp, up to which a shape caches its whole search
 WHOLE_SEARCH_CACHE_ITEMS = 2**15
 SIGN_VARIANT_DEFAULT = 1
 
@@ -257,8 +257,27 @@ class _Shape:
     perms: np.ndarray
     place: np.ndarray
 
+    @functools.cached_property
+    def whole(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
+        """Every tuple of the search as one chunk, and its _gather_positions.
 
-@functools.lru_cache(maxsize=32)
+        The groups of a stacked search and repeated searches of the shape
+        reuse them. They are kept only up to WHOLE_SEARCH_CACHE_ITEMS index
+        entries (None above), so the 8 cached shapes hold at most 8 * 2^15
+        intp (2 MiB) of them.
+        """
+        big_n, n = len(self.radix), self.perms.shape[1]
+        count = len(self.perms) ** (big_n - 1)
+        if count * n * (big_n + len(self.pairs) + 1) > WHOLE_SEARCH_CACHE_ITEMS:
+            return None
+        idx = _tuples_at(np.arange(count), big_n, n)
+        positions = _gather_positions(idx)
+        for arr in (idx, *positions):
+            arr.flags.writeable = False
+        return idx, positions
+
+
+@functools.lru_cache(maxsize=8)
 def _shape(big_n: int, n: int) -> _Shape:
     pairs = np.array(_pair_index(big_n), dtype=np.intp)
     top = int(np.iinfo(np.intp).max)
@@ -405,11 +424,12 @@ def _gather_positions(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _score_chunk(
-    tables: _KTables, idx: np.ndarray, variants: tuple[int, ...]
+    tables: _KTables, idx: np.ndarray, variants: tuple[int, ...], positions: tuple | None = None
 ) -> dict[str, np.ndarray]:
     """Bound values of a chunk of tuples, in the order a search offers them.
 
-    ``idx`` holds the Kraus indices, idx[c, t, i] = perms[t][i] of tuple c.
+    ``idx`` holds the Kraus indices, idx[c, t, i] = perms[t][i] of tuple c,
+    and ``positions`` their _gather_positions (gathered here if None).
     Tables of S states score every state on every tuple, in S * C rows
     state by state: lb1/ob1 (N > 2 only) and lb2/ob2 one value per row,
     lb3/ob3 (rows, len(variants)). The terms are gathered term-major, one
@@ -418,10 +438,12 @@ def _score_chunk(
     (P, n) array: _ordered_sum for a contiguous axis (the P n terms of
     total, n within a pair, the P lb roots, n ob squares and n col
     entries), and _in_order_sum for the ob roots over P, a strided axis
-    unless n = 1. The per-tuple formulas run in the same operation order.
+    unless n = 1. The per-tuple formulas run in the same operation order;
+    each bound is one elementwise expression for both families (lb, ob) and
+    every sign variant.
     """
     chunk, big_n, n = idx.shape
-    flat, col_idx = getattr(idx, "positions", None) or _gather_positions(idx)
+    flat, col_idx = positions or _gather_positions(idx)
     gathered = tables.terms.take(flat, axis=1).swapaxes(0, 1)  # (P n, 4S, C)
     rows = gathered.shape[1] // 2  # 2S: the plus rows, then the minus rows
     k = gathered[:, :rows]
@@ -432,23 +454,19 @@ def _score_chunk(
     lb_spread = _scalar_square(_ordered_sum(_safe_sqrt(inner))).reshape(2, -1)
     over_pairs = _ordered_sum if n == 1 else _in_order_sum
     ob_roots = over_pairs(gathered[:, rows:].reshape(by_pair))  # (n, 2S, C)
-    ob_spread = _ordered_sum(ob_roots**2).reshape(2, -1)
+    # (lb, ob) by (plus, minus) by row
+    spread = np.stack((lb_spread, _ordered_sum(ob_roots**2).reshape(2, -1)))
     out = {}
     if big_n > 2:
-        out["lb1"] = (total[0] - lb_spread[0] / (big_n - 1) ** 2) / (big_n - 2)
-        out["ob1"] = (total[0] - ob_spread[0] / (big_n - 1) ** 2) / (big_n - 2)
+        out.update(zip(("lb1", "ob1"), (total[0] - spread[:, 0] / (big_n - 1) ** 2) / (big_n - 2)))
     col = tables.col.reshape(-1, tables.col.shape[-1]).take(col_idx, axis=1)  # (S, n, C)
     mean = _ordered_sum(col.swapaxes(0, 1)).reshape(-1) / big_n
-    out["lb2"] = mean + 2.0 * lb_spread[1] / (big_n**2 * (big_n - 1))
-    out["ob2"] = mean + 2.0 * ob_spread[1] / (big_n**2 * (big_n - 1))
-    for name, spread in (("lb3", lb_spread), ("ob3", ob_spread)):
-        out[name] = np.empty((len(mean), len(variants)))
-        for j, x in enumerate(variants):
-            # variant 0: plus terms plain, minus terms under the roots
-            plain, root = x, 1 - x
-            out[name][:, j] = (
-                total[plain] + 2.0 * spread[root] / (big_n * (big_n - 1))
-            ) / (2.0 * (big_n - 1))
+    out.update(zip(("lb2", "ob2"), mean + 2.0 * spread[:, 1] / (big_n**2 * (big_n - 1))))
+    # variant x: total[x] plain and spread[1 - x] under the roots, so variant
+    # 0 takes the plus terms plain and the minus terms under the roots
+    x = np.array(variants)
+    three = (total[x] + 2.0 * spread[:, 1 - x] / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
+    out.update(zip(("lb3", "ob3"), three.swapaxes(1, 2)))  # (rows, variants) each
     return out
 
 
@@ -486,31 +504,6 @@ def _tuples_at(ids: np.ndarray, big_n: int, n: int) -> np.ndarray:
     """
     shape = _shape(big_n, n)
     return shape.perms.take(ids[:, None] // shape.place % len(shape.perms), axis=0)
-
-
-class _ChunkIndex(np.ndarray):
-    """Read-only Kraus indices carrying ``positions``, their _gather_positions.
-
-    A view or a copy has no positions; _score_chunk gathers its own.
-    """
-
-    positions: tuple[np.ndarray, np.ndarray]
-
-
-@functools.lru_cache(maxsize=8)
-def _whole_search(big_n: int, n: int) -> _ChunkIndex:
-    """Every tuple of a search over N channels of n Kraus operators, as one chunk.
-
-    The groups of a stacked search and repeated searches of one shape reuse
-    it. A search takes it only up to WHOLE_SEARCH_CACHE_ITEMS index entries,
-    so the cache holds at most 8 * 2^15 intp (2 MiB).
-    """
-    idx = _tuples_at(np.arange(math.factorial(n) ** (big_n - 1)), big_n, n)
-    chunk = idx.view(_ChunkIndex)
-    chunk.positions = _gather_positions(idx)
-    for arr in (chunk, *chunk.positions):
-        arr.flags.writeable = False
-    return chunk
 
 
 def _sequential_best(values: np.ndarray) -> tuple[float, int]:
@@ -608,8 +601,7 @@ def _search_bounds(
     k = np.empty((big_n * n, len(lams)))  # K of the Kraus operators, one row each
     group = max(1, SEARCH_CHUNK // (count * dim * dim))
     step = min(count, SEARCH_CHUNK)
-    pairs = big_n * (big_n - 1) // 2
-    whole = step == count and count * n * (big_n + pairs + 1) <= WHOLE_SEARCH_CACHE_ITEMS
+    whole = _shape(big_n, n).whole if step == count else None
     for g in range(0, len(lams), group):
         part = slice(g, g + group)
         cache = weighted_ops(EigenDecomposition(lams[part], vecs[part]), params)
@@ -617,11 +609,9 @@ def _search_bounds(
         size = len(tables.kraus)
         best = None  # (value, offer position) per (bound, state) row
         for lo in range(0, count, step):
-            if whole:
-                idx = _whole_search(big_n, n)
-            else:
-                idx = _tuples_at(np.arange(lo, min(lo + step, count)), big_n, n)
-            offers = _offers(_score_chunk(tables, idx, variants), size, len(variants))
+            ids = np.arange(lo, min(lo + step, count))
+            idx, positions = whole or (_tuples_at(ids, big_n, n), None)
+            offers = _offers(_score_chunk(tables, idx, variants, positions), size, len(variants))
             best = _offer(best, offers, lo * len(variants))
         values[:, part] = best[0].reshape(len(names), size)
         pos[:, part] = best[1].reshape(len(names), size)

@@ -148,6 +148,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_bloch_values(argv: list[str]) -> list[str]:
+    """argv with each ``--bloch V`` written ``--bloch=V``, unless V starts with '--'.
+
+    argparse reads a V such as '-0.5,0,0', which starts with '-' but is not
+    a plain negative number, as an option and stops with "expected one
+    argument"; attached, V is the option's value.
+    """
+    out = list(argv)
+    for i in reversed(range(len(out) - 1)):
+        if out[i] == "--bloch" and not out[i + 1].startswith("--"):
+            out[i : i + 2] = [f"--bloch={out[i + 1]}"]
+    return out
+
+
 def _load_json(path: str):
     try:
         text = Path(path).read_text()
@@ -303,7 +317,7 @@ def cmd_selftest(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_bloch_values(sys.argv[1:] if argv is None else argv))
     handlers = {
         "table1": cmd_table1,
         "sweep": cmd_sweep,

@@ -102,16 +102,16 @@ class KrausChannel:
                     f"channel '{self.name}': Kraus operator {k} is "
                     f"{op.shape[0]}x{op.shape[1]}, expected {dim}x{dim}"
                 )
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        for op in mats:
-            acc += op.conj().T @ op
-        deviation = float(np.max(np.abs(acc - np.eye(dim))))
+        stack = np.array(mats)
+        rows = stack.reshape(-1, dim)  # E_1 over E_2 over ...: rows^H rows = sum_i E_i^H E_i
+        deviation = float(np.max(np.abs(rows.conj().T @ rows - np.eye(dim))))
         if deviation > COMPLETENESS_TOL:
             raise ValueError(
                 f"channel '{self.name}' violates completeness: "
                 f"max |sum E^H E - I| = {deviation:.3g}"
             )
-        object.__setattr__(self, "ops", tuple(_freeze(m) for m in mats))
+        stack.flags.writeable = False
+        object.__setattr__(self, "ops", tuple(stack))
 
     @property
     def dim(self) -> int:

@@ -75,38 +75,32 @@ def weighted_ops(spectrum: EigenDecomposition, params: SkewParams) -> WeightedOp
 
 
 def skew_with_cache(cache: WeightedOperatorCache, e: np.ndarray) -> float:
-    """K(E) of one operator for a prebuilt cache."""
-    w = cache.w
-    if e.shape != w.shape:
-        raise ValueError(
-            f"operator is {e.shape[0]}x{e.shape[1]}, state is {w.shape[0]}x{w.shape[1]}"
-        )
-    c = w @ e - e @ w
-    if not cache.tail_is_identity:
-        c = c @ cache.tail
-    return 0.5 * float(np.vdot(c, c).real)
+    """K(E) of one operator for a prebuilt lone cache: skew_batch of a stack of one."""
+    return skew_batch(cache, e[None]).item()
 
 
 def skew_batch(cache: WeightedOperatorCache, ops: np.ndarray) -> np.ndarray:
     """K of every operator in an (M, d, d) stack, as an (M,) float array.
 
-    A stacked cache of S states gives an (S, M) array, row k for state k;
-    a lone (d, d) cache is a stack of one. Each product stacks operands by
-    rows: W E of every state is one (S d, d) @ (d, d) product per operand,
-    E W and [W, E] T one (M d, d) @ (d, d) product each per state (none for
-    T = I), so M + 2S products, not 3 S M. On the SkylakeX and CooperLake
-    OpenBLAS kernels each value equals skew_with_cache of that
-    (C-contiguous) operator bit for bit, as the tests pin; other kernels
-    round some rows of a row-stacked product otherwise at some d > 2, where
-    a stacked K can then differ in the last bits (ROADMAP item 1). Stacking
-    by columns (W @ [E_1 ... E_M]) or (E^T W^T)^T rounds otherwise even on
-    SkylakeX. Each row is reduced by the stacked conj(row) @ row product,
-    which rounds as np.vdot does (np.einsum and re^2 + im^2 do not).
+    This is the one K arithmetic. A stacked cache of S states gives an
+    (S, M) array, row k for state k; a lone (d, d) cache is a stack of one.
+    Each product stacks operands by rows: W E of every state is one
+    (S d, d) @ (d, d) product per operand, E W and [W, E] T one
+    (M d, d) @ (d, d) product each per state (none for T = I), so M + 2S
+    products, not 3 S M. A stack of one operand makes the (d, d) products
+    W E, E W and [W, E] T. Each row of [W, E] T is reduced by np.vecdot,
+    the BLAS zdotc that np.vdot calls (np.einsum and re^2 + im^2 round
+    otherwise). On the SkylakeX and CooperLake OpenBLAS kernels each value
+    equals K of that (C-contiguous) operator alone bit for bit, as the tests
+    pin; other kernels round some rows of a row-stacked product otherwise
+    at some d > 2, where a stacked K can then differ in the last bits
+    (ROADMAP item 1). Stacking by columns (W @ [E_1 ... E_M]) or
+    (E^T W^T)^T rounds otherwise even on SkylakeX.
     """
     w, tail = cache.w, cache.tail
     d = w.shape[-1]
     if ops.shape[1:] != w.shape[-2:]:
-        raise ValueError(f"operators are {ops.shape[1:]}, state is {w.shape[-2:]}")
+        raise ValueError(f"operators are {'x'.join(map(str, ops.shape[1:]))}, state is {d}x{d}")
     m = len(ops)
     ws = w.reshape(-1, d, d)
     s = len(ws)
@@ -115,8 +109,8 @@ def skew_batch(cache: WeightedOperatorCache, ops: np.ndarray) -> np.ndarray:
     c = (we - ew).reshape(s, m * d, d)
     if not cache.tail_is_identity:
         c = c @ tail.reshape(s, d, d)
-    rows = c.reshape(s, m, 1, d * d)
-    k = 0.5 * np.matmul(rows.conj(), rows.swapaxes(-1, -2))[..., 0, 0].real
+    rows = c.reshape(s, m, d * d)
+    k = 0.5 * np.vecdot(rows, rows).real
     return k if w.ndim == 3 else k[0]
 
 

@@ -337,6 +337,15 @@ class TestCli:
         assert main(["bounds", "--bloch", "0,0,0", str(bad)]) == 2
         assert "completeness" in capsys.readouterr().err
 
+    def test_bounds_bloch_vector_with_negative_first_component(self, tmp_path, capsys):
+        # argparse alone reads "-0.5,0,0" as an option, not as the value
+        paths = self._write_channels(tmp_path)
+        assert main(["bounds", "--bloch", "-0.5,0,0", *paths]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["bounds", "--bloch=-0.5,0,0", *paths]) == 0
+        assert capsys.readouterr().out == spaced
+        assert json.loads(spaced)["report"]["sum"] > 0.0
+
     def test_bounds_bad_bloch_vector(self, capsys):
         assert main(["bounds", "--bloch", "1,1", "none.json"]) == 2
         assert "r1,r2,r3" in capsys.readouterr().err

@@ -229,9 +229,9 @@ def test_chunks_cover_every_tuple_once(monkeypatch, rng):
     seen = []
     score = bounds._score_chunk
 
-    def recording(tables, idx, variants):
+    def recording(tables, idx, variants, positions=None):
         seen.append(idx.copy())
-        return score(tables, idx, variants)
+        return score(tables, idx, variants, positions)
 
     monkeypatch.setattr(bounds, "SEARCH_CHUNK", 5)
     monkeypatch.setattr(bounds, "_score_chunk", recording)
@@ -397,16 +397,32 @@ def test_stacked_search_with_chunks_inside_permutations_matches_oracle(monkeypat
     assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
 
 
-def test_whole_search_carries_the_positions_it_would_gather():
-    idx = bounds._whole_search(4, 3)
+def test_shape_caches_its_whole_search_up_to_the_item_bound(monkeypatch, rng):
+    # N = 4 channels of n = 3: 216 tuples, 216 * 3 * (4 + 6 + 1) index entries
+    items = 216 * 3 * 11
+    assert items <= bounds.WHOLE_SEARCH_CACHE_ITEMS
+    bounds._shape.cache_clear()
+    idx, positions = bounds._shape(4, 3).whole
     assert idx.tolist() == [list(map(list, perms)) for perms in enumerate_tuples(3, 4)]
-    fresh = bounds._gather_positions(np.array(idx))
-    assert all(np.array_equal(got, want) for got, want in zip(idx.positions, fresh))
-    assert not hasattr(idx.copy(), "positions")
+    fresh = bounds._gather_positions(idx.copy())
+    assert all(np.array_equal(got, want) for got, want in zip(positions, fresh))
+    assert not any(arr.flags.writeable for arr in (idx, *positions))
     tables = synthetic_tables(np.random.default_rng(37), 4, 3)
-    cached = bounds._score_chunk(tables, idx, (0, 1))
-    plain = bounds._score_chunk(tables, np.array(idx), (0, 1))
-    assert all(cached[name].tolist() == plain[name].tolist() for name in plain)
+    cached = bounds._score_chunk(tables, idx, (0, 1), positions)
+    rho, channels, params = random_config(rng, 2, (3, 3, 3, 3))
+    want = channel_bound_report(rho, channels, params, sign_variant=None)
+    # one entry fewer and the shape caches no search: each search gathers
+    # its own positions, with the same bits
+    monkeypatch.setattr(bounds, "WHOLE_SEARCH_CACHE_ITEMS", items - 1)
+    bounds._shape.cache_clear()
+    try:
+        assert bounds._shape(4, 3).whole is None
+        plain = bounds._score_chunk(tables, idx.copy(), (0, 1))
+        assert all(cached[name].tolist() == plain[name].tolist() for name in plain)
+        got = channel_bound_report(rho, channels, params, sign_variant=None)
+        assert got.to_json_dict() == want.to_json_dict()
+    finally:
+        bounds._shape.cache_clear()
 
 
 def test_table_roots_clamp_tiny_negatives_and_reject_larger_ones():
@@ -500,9 +516,9 @@ def test_batch_chunks_hold_at_most_search_chunk_rows(monkeypatch, rng, chunk, co
     seen = []
     score = bounds._score_chunk
 
-    def recording(tables, idx, variants):
+    def recording(tables, idx, variants, positions=None):
         seen.append((len(tables.col), idx.copy()))
-        return score(tables, idx, variants)
+        return score(tables, idx, variants, positions)
 
     monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
     monkeypatch.setattr(bounds, "_score_chunk", recording)
