@@ -139,16 +139,18 @@ class UnitaryBoundReport(_Sound):
 class BoundColumns:
     """One stacked search's results by state.
 
-    sum[k] and, per bound N allows, values[name][k], attained at
-    tuples[winner[name][k]] with sign variant x[name][k] (lb3/ob3).
+    sum[k] and, per bound N allows, values[name][k], first offered at
+    offer[name][k]: tuple offer // len(variants) of the (N, n) search in
+    lexicographic order, with sign variant variants[offer % len(variants)]
+    (lb3/ob3). report(k) decodes state k's argmax tuples.
     """
 
     report_type: type
     sum: np.ndarray
     values: dict[str, np.ndarray]
-    winner: dict[str, np.ndarray]
-    x: dict[str, np.ndarray]
-    tuples: list[PermTuple]
+    offer: dict[str, np.ndarray]
+    variants: tuple[int, ...]
+    shape: tuple[int, int]
 
     def __len__(self) -> int:
         return len(self.sum)
@@ -159,11 +161,14 @@ class BoundColumns:
             name: float(self.values[name][k]) if name in self.values else None
             for name in self.report_type._BOUNDS
         }
+        tuple_id, slot = np.divmod([at[k] for at in self.offer.values()], len(self.variants))
+        x = dict(zip(self.offer, np.take(self.variants, slot).tolist()))
         if self.report_type is UnitaryBoundReport:
-            return UnitaryBoundReport(float(self.sum[k]), **fields, argmax_x=int(self.x["lb3"][k]))
+            return UnitaryBoundReport(float(self.sum[k]), **fields, argmax_x=x["lb3"])
+        perms = _tuples_at(tuple_id, *self.shape).tolist()
         argmax = {
-            name: BoundArgmax(self.tuples[w[k]], int(self.x[name][k]) if name in self.x else None)
-            for name, w in self.winner.items()
+            name: BoundArgmax(tuple(map(tuple, p)), x[name] if name in ("lb3", "ob3") else None)
+            for name, p in zip(self.offer, perms)
         }
         return BoundReport(float(self.sum[k]), **fields, argmax=argmax)
 
@@ -305,33 +310,6 @@ def _scalar_square(values: np.ndarray) -> np.ndarray:
     return np.float_power(values, 2.0)
 
 
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in the order numpy's pairwise sum adds one contiguous row.
-
-    Fewer than 8 terms are added one after another. 8 to 128 terms go to
-    eight lanes (term i to lane i % 8 up to the last multiple of 8), which
-    combine as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) before the
-    remaining terms are added one at a time. Above 128 terms, each half
-    (split at a multiple of 8) is summed by these rules and the two added.
-    """
-    m = len(terms)
-    if m < 8:
-        return _in_order_sum(terms)
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        return _ordered_sum(terms[:half]) + _ordered_sum(terms[half:])
-    tail = m - m % 8
-    lanes = terms[:8] + 0.0
-    for i in range(8, tail, 8):
-        lanes += terms[i : i + 8]
-    pairs = lanes[0::2] + lanes[1::2]
-    acc = pairs[0] + pairs[1]
-    acc += pairs[2] + pairs[3]
-    for term in terms[tail:]:
-        acc += term
-    return acc
-
-
 @dataclass(frozen=True)
 class _KTables:
     """Every distinct K value a report reads, each evaluated once.
@@ -433,14 +411,12 @@ def _score_chunk(
     Tables of S states score every state on every tuple, in S * C rows
     state by state: lb1/ob1 (N > 2 only) and lb2/ob2 one value per row,
     lb3/ob3 (rows, len(variants)). The terms are gathered term-major, one
-    row per (pair, Kraus index) and one column per (state, tuple), and every
-    sum adds them in the order numpy reduces one tuple's C-contiguous
-    (P, n) array: _ordered_sum for a contiguous axis (the P n terms of
-    total, n within a pair, the P lb roots, n ob squares and n col
-    entries), and _in_order_sum for the ob roots over P, a strided axis
-    unless n = 1. The per-tuple formulas run in the same operation order;
-    each bound is one elementwise expression for both families (lb, ob) and
-    every sign variant.
+    row per (pair, Kraus index) and one column per (state, tuple). Every
+    sum adds its terms one after another (_in_order_sum): the P n terms of
+    total pair by pair, n within a pair, the P lb roots, the ob roots over
+    P, the n ob squares and the n col entries. The per-tuple formulas run
+    in the same operation order; each bound is one elementwise expression
+    for both families (lb, ob) and every sign variant.
     """
     chunk, big_n, n = idx.shape
     flat, col_idx = positions or _gather_positions(idx)
@@ -449,18 +425,17 @@ def _score_chunk(
     k = gathered[:, :rows]
     by_pair = (len(flat) // n, n, rows, chunk)
     # row 0 of total and of each spread holds the plus terms, row 1 the minus
-    total = _ordered_sum(k).reshape(2, -1)
-    inner = _ordered_sum(k.reshape(by_pair).swapaxes(0, 1))  # (P, 2S, C)
-    lb_spread = _scalar_square(_ordered_sum(_safe_sqrt(inner))).reshape(2, -1)
-    over_pairs = _ordered_sum if n == 1 else _in_order_sum
-    ob_roots = over_pairs(gathered[:, rows:].reshape(by_pair))  # (n, 2S, C)
+    total = _in_order_sum(k).reshape(2, -1)
+    inner = _in_order_sum(k.reshape(by_pair).swapaxes(0, 1))  # (P, 2S, C)
+    lb_spread = _scalar_square(_in_order_sum(_safe_sqrt(inner))).reshape(2, -1)
+    ob_roots = _in_order_sum(gathered[:, rows:].reshape(by_pair))  # (n, 2S, C)
     # (lb, ob) by (plus, minus) by row
-    spread = np.stack((lb_spread, _ordered_sum(ob_roots**2).reshape(2, -1)))
+    spread = np.stack((lb_spread, _in_order_sum(ob_roots**2).reshape(2, -1)))
     out = {}
     if big_n > 2:
         out.update(zip(("lb1", "ob1"), (total[0] - spread[:, 0] / (big_n - 1) ** 2) / (big_n - 2)))
     col = tables.col.reshape(-1, tables.col.shape[-1]).take(col_idx, axis=1)  # (S, n, C)
-    mean = _ordered_sum(col.swapaxes(0, 1)).reshape(-1) / big_n
+    mean = _in_order_sum(col.swapaxes(0, 1)).reshape(-1) / big_n
     out.update(zip(("lb2", "ob2"), mean + 2.0 * spread[:, 1] / (big_n**2 * (big_n - 1))))
     # variant x: total[x] plain and spread[1 - x] under the roots, so variant
     # 0 takes the plus terms plain and the minus terms under the roots
@@ -616,19 +591,13 @@ def _search_bounds(
         values[:, part] = best[0].reshape(len(names), size)
         pos[:, part] = best[1].reshape(len(names), size)
         k[:, part] = tables.kraus.T
-    # the Kraus terms in order, as Python's sum() adds them (np.sum pairs
-    # the terms up from 8 on)
-    total = _in_order_sum(k)
-    tuple_id, slot = np.divmod(pos, len(variants))
-    ids = np.array(sorted(set(tuple_id.ravel().tolist())), dtype=np.intp)
-    x = np.array(variants)[slot]
     return BoundColumns(
         report_type=report_type,
-        sum=total,
+        sum=_in_order_sum(k),
         values=dict(zip(names, values)),
-        winner=dict(zip(names, ids.searchsorted(tuple_id))),
-        x={name: x[j] for j, name in enumerate(names) if name in ("lb3", "ob3")},
-        tuples=[tuple(map(tuple, w)) for w in _tuples_at(ids, big_n, n).tolist()],
+        offer=dict(zip(names, pos)),
+        variants=variants,
+        shape=(big_n, n),
     )
 
 

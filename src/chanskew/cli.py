@@ -164,13 +164,11 @@ def _attach_bloch_values(argv: list[str]) -> list[str]:
 
 def _load_json(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # Recursion: nested too deep
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_bloch(text: str):
@@ -211,19 +209,24 @@ def cmd_table1(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _sweep_config(args, q: float) -> SweepConfig:
+def _sweep(args, run, q: float):
+    """run(config) over the grid of ``args``; a grid too large to allocate is a --steps error."""
     grid = (args.theta_start, args.theta_end, args.steps)
-    return SweepConfig(*grid, q=q, params=_params_from(args), bloch_radius=args.bloch_radius)
+    cfg = SweepConfig(*grid, q=q, params=_params_from(args), bloch_radius=args.bloch_radius)
+    try:
+        return run(cfg)
+    except MemoryError as exc:
+        raise ValueError(f"--steps {args.steps}: {exc}") from exc
 
 
 def cmd_sweep(args) -> int:
-    rows = channel_sweep(_sweep_config(args, args.q))
+    rows = _sweep(args, channel_sweep, args.q)
     _write_output(args.out, channel_rows_to_csv(rows))
     return 0
 
 
 def cmd_unitary_sweep(args) -> int:
-    rows = unitary_sweep(_sweep_config(args, 0.0), printed_u3=args.printed_u3)
+    rows = _sweep(args, lambda cfg: unitary_sweep(cfg, printed_u3=args.printed_u3), 0.0)
     _write_output(args.out, unitary_rows_to_csv(rows))
     frac = lb3_tightest_fraction(rows)
     print(f"lb3 >= max(lb1, lb2) at {frac:.1%} of {len(rows)} grid points", file=sys.stderr)

@@ -117,9 +117,10 @@ def skew_batch(cache: WeightedOperatorCache, ops: np.ndarray) -> np.ndarray:
 def _in_order_sum(terms):
     """terms[0] + terms[1] + ..., one term after another, over axis 0.
 
-    This is Python's sum() of floats up to 3.11 (3.12 compensates) and the
-    order in which numpy reduces a strided axis. + 0.0 gives an all -0.0 sum
-    the +0.0 that sum()'s start of 0 gives.
+    Every sum of the package adds this way: a channel's Kraus terms and
+    every sum of the bound search. It is Python's sum() of floats up to
+    3.11 (3.12 compensates); np.sum pairs the terms up from 8 on. + 0.0
+    gives an all -0.0 sum the +0.0 that sum()'s start of 0 gives.
     """
     total = terms[0] + 0.0
     for term in terms[1:]:

@@ -8,7 +8,9 @@ and is the reference the chunked table search must match bit for bit;
 the unitary oracle evaluates the three unitary bounds from their own
 formulas, and the search run on one-Kraus channels must match it bit for
 bit. Both share the package's K evaluator, since what they check is the
-search. The norm check at the end tests the three vector-norm
+search, and every sum of their bound formulas adds its terms one after
+another (in_order_sum), as the search does; np.sum pairs them up from 8
+terms on. The norm check at the end tests the three vector-norm
 inequalities the channel bounds rest on: it fills the package's K tables
 with squared vector norms and scores them with the package's scorer. The
 seeded qubit-state, parameter and unitary generators are the package's
@@ -187,34 +189,41 @@ def tuple_terms(cache, kraus, perms):
     return plus, minus, col
 
 
+def pair_sums(terms):
+    """Per pair (row of a (P, n) term array), its n terms added in order."""
+    return in_order_sum(terms.T)
+
+
 def lb1_value(plus, big_n):
-    deficit = _safe_sqrt(plus.sum(axis=1)).sum() ** 2 / (big_n - 1) ** 2
-    return float(plus.sum() - deficit) / (big_n - 2)
+    deficit = in_order_sum(_safe_sqrt(pair_sums(plus))) ** 2 / (big_n - 1) ** 2
+    return float(in_order_sum(plus.ravel()) - deficit) / (big_n - 2)
 
 
 def ob1_value(plus, big_n):
-    deficit = (_safe_sqrt(plus).sum(axis=0) ** 2).sum() / (big_n - 1) ** 2
-    return float(plus.sum() - deficit) / (big_n - 2)
+    deficit = in_order_sum(in_order_sum(_safe_sqrt(plus)) ** 2) / (big_n - 1) ** 2
+    return float(in_order_sum(plus.ravel()) - deficit) / (big_n - 2)
 
 
 def lb2_value(col, minus, big_n):
-    spread = _safe_sqrt(minus.sum(axis=1)).sum() ** 2
-    return float(col.sum() / big_n + 2.0 * spread / (big_n**2 * (big_n - 1)))
+    spread = in_order_sum(_safe_sqrt(pair_sums(minus))) ** 2
+    return float(in_order_sum(col) / big_n + 2.0 * spread / (big_n**2 * (big_n - 1)))
 
 
 def ob2_value(col, minus, big_n):
-    spread = (_safe_sqrt(minus).sum(axis=0) ** 2).sum()
-    return float(col.sum() / big_n + 2.0 * spread / (big_n**2 * (big_n - 1)))
+    spread = in_order_sum(in_order_sum(_safe_sqrt(minus)) ** 2)
+    return float(in_order_sum(col) / big_n + 2.0 * spread / (big_n**2 * (big_n - 1)))
 
 
 def lb3_value(plain, root, big_n):
-    spread = _safe_sqrt(root.sum(axis=1)).sum() ** 2
-    return float(plain.sum() + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
+    spread = in_order_sum(_safe_sqrt(pair_sums(root))) ** 2
+    total = in_order_sum(plain.ravel())
+    return float(total + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
 
 
 def ob3_value(plain, root, big_n):
-    spread = (_safe_sqrt(root).sum(axis=0) ** 2).sum()
-    return float(plain.sum() + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
+    spread = in_order_sum(in_order_sum(_safe_sqrt(root)) ** 2)
+    total = in_order_sum(plain.ravel())
+    return float(total + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
 
 
 def table_terms(tables, perms):
@@ -305,12 +314,13 @@ def unitary_terms(cache, mats):
 
 
 def unitary_lb1_value(kp, big_n):
-    return float(kp.sum() - _safe_sqrt(kp).sum() ** 2 / (big_n - 1) ** 2) / (big_n - 2)
+    deficit = in_order_sum(_safe_sqrt(kp)) ** 2 / (big_n - 1) ** 2
+    return float(in_order_sum(kp) - deficit) / (big_n - 2)
 
 
 def unitary_lb2_value(cache, mats, km, big_n):
     mean_term = skew_with_cache(cache, sum(mats)) / big_n
-    return float(mean_term + 2.0 * _safe_sqrt(km).sum() ** 2 / (big_n**2 * (big_n - 1)))
+    return float(mean_term + 2.0 * in_order_sum(_safe_sqrt(km)) ** 2 / (big_n**2 * (big_n - 1)))
 
 
 def unitary_lb3_value(kp, km, big_n):
@@ -318,7 +328,7 @@ def unitary_lb3_value(kp, km, big_n):
     best_value, best_x = -np.inf, 0
     for x, (plain, root) in enumerate([(kp, km), (km, kp)]):
         value = float(
-            plain.sum() + 2.0 * _safe_sqrt(root).sum() ** 2 / (big_n * (big_n - 1))
+            in_order_sum(plain) + 2.0 * in_order_sum(_safe_sqrt(root)) ** 2 / (big_n * (big_n - 1))
         ) / (2.0 * (big_n - 1))
         if value > best_value + ARGMAX_MARGIN:
             best_value, best_x = value, x

@@ -20,6 +20,7 @@ from chanskew.bounds import (
     UnitaryBoundReport,
     channel_bound_columns,
     channel_bound_report,
+    enumerate_tuples,
     unitary_bound_columns,
     unitary_bound_report,
 )
@@ -48,15 +49,17 @@ def assert_columns_are_lone_reports(columns, reports):
                 continue
             assert columns.values[name][k] == getattr(want, name), (k, name)
         if isinstance(want, BoundReport):
-            assert set(columns.values) == set(want.argmax)
+            assert list(columns.offer) == list(want.argmax)
+            tuples = list(enumerate_tuples(columns.shape[1], columns.shape[0]))
             for name, argmax in want.argmax.items():
-                assert columns.tuples[columns.winner[name][k]] == argmax.perms, (k, name)
-                x = int(columns.x[name][k]) if name in columns.x else None
+                tuple_id, slot = divmod(int(columns.offer[name][k]), len(columns.variants))
+                assert tuples[tuple_id] == argmax.perms, (k, name)
+                x = columns.variants[slot] if name in ("lb3", "ob3") else None
                 assert x == argmax.x, (k, name)
         else:
-            assert columns.x["lb3"][k] == want.argmax_x, k
+            slot = columns.offer["lb3"][k] % len(columns.variants)
+            assert columns.variants[slot] == want.argmax_x, k
         assert columns.report(k) == want, k
-    assert len(set(columns.tuples)) == len(columns.tuples)  # each winner decoded once
 
 
 CHANNEL_CASES = [
@@ -121,7 +124,7 @@ def test_all_tie_stack_keeps_the_identity_tuple(monkeypatch, rng, chunk):
     columns = channel_bound_columns(bloch_spectra(vectors), [channel] * 3, params, sign_variant=None)
     lone = channel_bound_report(bloch_state(vectors[0]), [channel] * 3, params, sign_variant=None)
     assert_columns_are_lone_reports(columns, [lone] * 6)
-    assert columns.tuples == [((0, 1, 2),) * 3]
+    assert all((at // len(columns.variants) == 0).all() for at in columns.offer.values())
 
 
 @pytest.mark.parametrize("chunk", [None, 3])
@@ -164,9 +167,9 @@ def one_state_columns(report_type, total, **values):
         report_type=report_type,
         sum=np.array([total]),
         values={name: np.array([values[name]]) for name in names},
-        winner={name: np.array([0]) for name in names},
-        x={name: np.array([1]) for name in ("lb3", "ob3") if name in values},
-        tuples=[((0, 1), (1, 0))],
+        offer={name: np.array([3]) for name in names},  # tuple ((0, 1), (1, 0)), x = 1
+        variants=(0, 1),
+        shape=(2, 2),
     )
 
 
@@ -211,9 +214,9 @@ def test_array_soundness_check_equals_soundness_violations(report_type):
             report_type=report_type,
             sum=np.full(len(part), total),
             values={name: np.array([row[name] for row, _ in part]) for name in names},
-            winner={name: np.zeros(len(part), dtype=np.intp) for name in names},
-            x={name: np.ones(len(part), dtype=np.intp) for name in ("lb3", "ob3")},
-            tuples=[((0, 1), (1, 0))],
+            offer={name: np.full(len(part), 3) for name in names},
+            variants=(0, 1),
+            shape=(2, 2),
         )
         first = next((k for k, (_, flag) in enumerate(part) if flag), None)
         assert columns.first_unsound() == first, start

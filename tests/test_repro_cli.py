@@ -330,6 +330,24 @@ class TestCli:
         assert main(["bounds", "--bloch", "0,0,0", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["state", "channel"])
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            # the parser recurses once per array: no recursion limit reaches 100,000
+            (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+            ('{"name": "é"}'.encode("latin-1"), "'utf-8' codec can't decode byte 0xe9"),
+        ],
+        ids=["nested-too-deep", "not-utf8"],
+    )
+    def test_bounds_unparsable_json_file_names_path(self, tmp_path, capsys, where, content, message):
+        paths = self._write_channels(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = ["--state", str(bad), *paths] if where == "state" else ["--bloch", "0,0,0", str(bad)]
+        assert main(["bounds", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
     def test_bounds_incomplete_channel_rejected(self, tmp_path, capsys):
         bad = tmp_path / "incomplete.json"
         ident = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -396,6 +414,12 @@ class TestCli:
     def test_nonpositive_cap_or_too_few_steps_exit_2(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["sweep", "unitary-sweep"])
+    def test_sweep_steps_too_many_to_allocate_exit_2(self, capsys, command):
+        # a grid of 10^18 floats (6.94 EiB) fails to allocate at once
+        assert main([command, "--steps", str(10**18)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --steps {10**18}: Unable to allocate")
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_bounds_nonpositive_cap_exits_2(self, tmp_path, capsys, cap):

@@ -364,17 +364,18 @@ def assert_scored_match_oracle(tables, tuples, states=None):
 @pytest.mark.parametrize(
     "big_n,n,states",
     [
-        (3, 2, None),  # P n = 6: every sum adds one term after another
-        (4, 3, None),  # P n = 18: eight lanes, then a tail of two
+        (3, 2, None),  # P n = 6 terms in total
+        (4, 3, None),  # P n = 18: more than the 8 terms numpy's np.sum pairs up from
         (5, 2, 3),  # P = 10 pairs with n = 2, on a stack of 3 states
-        (6, 9, None),  # P n = 135: halves split at 64, a multiple of 8
-        (5, 1, None),  # n = 1: the ob roots over P = 10 add pairwise
-        (17, 1, 2),  # n = 1 and P = 136: the P roots split in halves too
+        (6, 9, None),  # P n = 135: above the 128 terms np.sum splits in halves
+        (5, 1, None),  # n = 1: the P = 10 ob roots are one contiguous row
+        (17, 1, 2),  # n = 1 and P = 136 roots, on a stack of 2 states
     ],
 )
-def test_score_chunk_adds_in_numpy_order(big_n, n, states):
-    # tuples from a chunk that starts inside a permutation block, and from
-    # random positions; synthetic tables make the order of every sum show
+def test_score_chunk_adds_in_order(big_n, n, states):
+    # every sum adds its terms one after another; tuples from a chunk that
+    # starts inside a permutation block, and from random positions;
+    # synthetic tables make the order of every sum show
     rng = np.random.default_rng(100 * big_n + n)
     tables = synthetic_tables(rng, big_n, n, states)
     count = math.factorial(n) ** (big_n - 1)
