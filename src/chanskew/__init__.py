@@ -3,7 +3,6 @@
 from .bounds import (
     BoundArgmax,
     BoundReport,
-    UnitaryBoundReport,
     channel_bound_report,
     enumerate_tuples,
     tuple_bound_values,
@@ -42,7 +41,6 @@ __all__ = [
     "KrausChannel",
     "SkewParams",
     "SweepConfig",
-    "UnitaryBoundReport",
     "UnitaryOp",
     "WeightedOperatorCache",
     "amplitude_damping",

@@ -14,20 +14,21 @@ plain term and differences under the square roots, variant 1 swaps the
 two. The reference comparison tables use variant 1, which is therefore
 the default; pass ``sign_variant=None`` to maximize over both.
 
-The unitary bounds are lb1/lb2/lb3 of the one-Kraus channels {U}: the
-same search over its single tuple, lb3 maximized over both variants.
+A unitary report is the report of the one-Kraus channels {U_t}: the same
+search over its single tuple with lb3 maximized over both sign variants,
+so every argmax is that tuple, lb3's variant is argmax["lb3"].x, and
+ob1/ob2/ob3 equal lb1/lb2/lb3 mathematically.
 
 One search scores every bound N allows for a stack of states that share
 the channels (or unitaries) and params. channel_bound_columns and
 unitary_bound_columns take the stacked spectrum (bloch_spectra gives it)
 and return a BoundColumns, whose report(k) is state k's BoundReport
-(report.lb2, report.argmax["lb2"].perms, report.argmax["lb3"].x) or
-UnitaryBoundReport (lb3's variant as argmax_x). W and T of each group of
-states come from skewinfo.weighted_ops. channel_bound_report and
-unitary_bound_report search the spectrum DensityMatrix validation computed
-as a stack of one. Each report of a stack equals its state's lone report
-bit for bit on the SkylakeX and CooperLake OpenBLAS kernels, not on others
-(ROADMAP item 1).
+(report.lb2, report.argmax["lb2"].perms, report.argmax["lb3"].x). W and
+T of each group of states come from skewinfo.weighted_ops.
+channel_bound_report and unitary_bound_report search the spectrum
+DensityMatrix validation computed as a stack of one. Each report of a
+stack equals its state's lone report bit for bit on the SkylakeX and
+CooperLake OpenBLAS kernels, not on others (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -71,30 +72,14 @@ class BoundArgmax:
     x: int | None = None
 
 
-class _Sound:
-    """No bound of _BOUNDS above the sum, lb >= ob for each pair of _DOMINANCE."""
-
-    _BOUNDS: tuple[str, ...] = ()
-    _DOMINANCE: tuple[tuple[str, str], ...] = ()
-
-    def soundness_violations(self) -> list[str]:
-        """Empty iff every bound is below the sum and lb2/lb3 dominate ob2/ob3."""
-        out = []
-        for name in self._BOUNDS:
-            value = getattr(self, name)
-            if value is not None and value > self.sum + SOUNDNESS_TOL:
-                out.append(f"{name} = {value!r} exceeds sum = {self.sum!r}")
-        for lb, ob in self._DOMINANCE:
-            if getattr(self, lb) < getattr(self, ob) - SOUNDNESS_TOL:
-                out.append(f"{lb} = {getattr(self, lb)!r} below {ob} = {getattr(self, ob)!r}")
-        return out
-
-
 @dataclass(frozen=True)
-class BoundReport(_Sound):
-    """All six channel bounds plus the exact sum for one configuration.
+class BoundReport:
+    """The exact sum and every bound N allows, for one state.
 
     lb1/ob1 are None when only two channels are given (they need N > 2).
+    argmax[name] holds the tuple attaining each bound (and, for lb3/ob3,
+    the sign variant x). A unitary report is this report of the one-Kraus
+    channels {U_t} (see the module docstring).
     """
 
     sum: float
@@ -109,6 +94,18 @@ class BoundReport(_Sound):
     _BOUNDS = ("ob1", "ob2", "ob3", "lb1", "lb2", "lb3")
     _DOMINANCE = (("lb2", "ob2"), ("lb3", "ob3"))
 
+    def soundness_violations(self) -> list[str]:
+        """Empty iff every bound is below the sum and lb2/lb3 dominate ob2/ob3."""
+        out = []
+        for name in self._BOUNDS:
+            value = getattr(self, name)
+            if value is not None and value > self.sum + SOUNDNESS_TOL:
+                out.append(f"{name} = {value!r} exceeds sum = {self.sum!r}")
+        for lb, ob in self._DOMINANCE:
+            if getattr(self, lb) < getattr(self, ob) - SOUNDNESS_TOL:
+                out.append(f"{lb} = {getattr(self, lb)!r} below {ob} = {getattr(self, ob)!r}")
+        return out
+
     def to_json_dict(self) -> dict:
         data = {name: getattr(self, name) for name in ("sum",) + self._BOUNDS}
         data["argmax"] = {
@@ -116,23 +113,6 @@ class BoundReport(_Sound):
             for name, am in self.argmax.items()
         }
         return data
-
-
-@dataclass(frozen=True)
-class UnitaryBoundReport(_Sound):
-    """The three unitary-channel bounds plus the exact sum.
-
-    lb1 is None when only two unitaries are given; argmax_x records the
-    sign variant attaining lb3.
-    """
-
-    sum: float
-    lb1: float | None
-    lb2: float
-    lb3: float
-    argmax_x: int
-
-    _BOUNDS = ("lb1", "lb2", "lb3")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +125,6 @@ class BoundColumns:
     (lb3/ob3). report(k) decodes state k's argmax tuples.
     """
 
-    report_type: type
     sum: np.ndarray
     values: dict[str, np.ndarray]
     offer: dict[str, np.ndarray]
@@ -155,16 +134,14 @@ class BoundColumns:
     def __len__(self) -> int:
         return len(self.sum)
 
-    def report(self, k: int):
-        """State k's report, a ``report_type``."""
+    def report(self, k: int) -> BoundReport:
+        """State k's report."""
         fields = {
             name: float(self.values[name][k]) if name in self.values else None
-            for name in self.report_type._BOUNDS
+            for name in BoundReport._BOUNDS
         }
         tuple_id, slot = np.divmod([at[k] for at in self.offer.values()], len(self.variants))
         x = dict(zip(self.offer, np.take(self.variants, slot).tolist()))
-        if self.report_type is UnitaryBoundReport:
-            return UnitaryBoundReport(float(self.sum[k]), **fields, argmax_x=x["lb3"])
         perms = _tuples_at(tuple_id, *self.shape).tolist()
         argmax = {
             name: BoundArgmax(tuple(map(tuple, p)), x[name] if name in ("lb3", "ob3") else None)
@@ -172,16 +149,16 @@ class BoundColumns:
         }
         return BoundReport(float(self.sum[k]), **fields, argmax=argmax)
 
-    def reports(self) -> list:
+    def reports(self) -> list[BoundReport]:
         return [self.report(k) for k in range(len(self))]
 
     def first_unsound(self) -> int | None:
         """The first state with soundness_violations, by the same comparisons on arrays."""
         bad = np.zeros(len(self), dtype=bool)
-        for name in self.report_type._BOUNDS:
+        for name in BoundReport._BOUNDS:
             if name in self.values:
                 bad |= self.values[name] > self.sum + SOUNDNESS_TOL
-        for lb, ob in self.report_type._DOMINANCE:
+        for lb, ob in BoundReport._DOMINANCE:
             bad |= self.values[lb] < self.values[ob] - SOUNDNESS_TOL
         return int(bad.argmax()) if bad.any() else None
 
@@ -224,20 +201,28 @@ def enumerate_tuples(n: int, big_n: int, cap: int = DEFAULT_TUPLE_CAP) -> Iterat
     return ((identity,) + rest for rest in itertools.product(perms, repeat=big_n - 1))
 
 
-def _padded_kraus(channels: Sequence[KrausChannel]) -> list[list[np.ndarray]]:
-    """Kraus lists padded with zero operators to a common length.
+def _padded_kraus(
+    channels: Sequence[KrausChannel] | Sequence[UnitaryOp], kind: str = "channels"
+) -> list[list[np.ndarray]]:
+    """The Kraus lists of N >= 2 channels of one dim, padded with zero operators.
 
-    Zero operators have zero skew information: sums are unchanged.
+    With kind "unitaries", ``channels`` holds unitaries, each its one-Kraus
+    channel {U}. Zero operators have zero skew information: sums are
+    unchanged.
     """
     if len(channels) < 2:
-        raise ValueError(f"need at least 2 channels, got {len(channels)}")
-    dim = channels[0].dim
-    for ch in channels:
-        if ch.dim != dim:
-            raise ValueError(f"channel '{ch.name}' has dim {ch.dim}, expected {dim}")
-    n = max(len(ch.ops) for ch in channels)
+        raise ValueError(f"need at least 2 {kind}, got {len(channels)}")
+    if kind == "unitaries":
+        named = [(f"unitary {k}", (u.mat,)) for k, u in enumerate(channels)]
+    else:
+        named = [(f"channel '{ch.name}'", ch.ops) for ch in channels]
+    first, dim = named[0][0], len(named[0][1][0])
+    for name, ops in named:
+        if len(ops[0]) != dim:
+            raise ValueError(f"{name} has dim {len(ops[0])}, {first} has dim {dim}")
+    n = max(len(ops) for _, ops in named)
     zero = np.zeros((dim, dim), dtype=np.complex128)
-    return [list(ch.ops) + [zero] * (n - len(ch.ops)) for ch in channels]
+    return [list(ops) + [zero] * (n - len(ops)) for _, ops in named]
 
 
 def _pair_index(big_n: int) -> list[tuple[int, int]]:
@@ -551,7 +536,6 @@ def _search_bounds(
     params: SkewParams,
     cap: int,
     sign_variant: int | None,
-    report_type: type,
 ) -> BoundColumns:
     """Per state of ``spectrum``, the exact sum and every bound N allows.
 
@@ -592,7 +576,6 @@ def _search_bounds(
         pos[:, part] = best[1].reshape(len(names), size)
         k[:, part] = tables.kraus.T
     return BoundColumns(
-        report_type=report_type,
         sum=_in_order_sum(k),
         values=dict(zip(names, values)),
         offer=dict(zip(names, pos)),
@@ -601,11 +584,16 @@ def _search_bounds(
     )
 
 
-def _stack_of_one(rho: DensityMatrix, dim: int) -> EigenDecomposition:
-    """rho's spectrum as a stack of one state; rho must have the operators' dim."""
+def _lone_report(rho: DensityMatrix, kraus: list[list[np.ndarray]], *search) -> BoundReport:
+    """_search_bounds(spectrum, kraus, *search) of rho's spectrum as a stack of one.
+
+    rho must have the operators' dim.
+    """
+    dim = len(kraus[0][0])
     if rho.dim != dim:
         raise ValueError(f"state has dim {rho.dim}, the operators have dim {dim}")
-    return EigenDecomposition(*(arr[None] for arr in rho.spectrum))
+    spectrum = EigenDecomposition(*(arr[None] for arr in rho.spectrum))
+    return _search_bounds(spectrum, kraus, *search).report(0)
 
 
 def channel_bound_columns(
@@ -620,7 +608,7 @@ def channel_bound_columns(
     ``spectrum`` holds the (S, d) eigenvalues and (S, d, d) eigenvectors of
     validated states (as from bloch_spectra); ``cap`` counts one state's tuples.
     """
-    return _search_bounds(spectrum, _padded_kraus(channels), params, cap, sign_variant, BoundReport)
+    return _search_bounds(spectrum, _padded_kraus(channels), params, cap, sign_variant)
 
 
 def channel_bound_report(
@@ -631,34 +619,21 @@ def channel_bound_report(
     sign_variant: int | None = SIGN_VARIANT_DEFAULT,
 ) -> BoundReport:
     """Exact sum and all six bounds of one state: the stack of one."""
-    kraus = _padded_kraus(channels)
-    spectrum = _stack_of_one(rho, len(kraus[0][0]))
-    return _search_bounds(spectrum, kraus, params, cap, sign_variant, BoundReport).report(0)
+    return _lone_report(rho, _padded_kraus(channels), params, cap, sign_variant)
 
 
-# --- unitary channels: one-Kraus channels, so a single tuple -----------------
-
-
-def _unitary_kraus(unitaries: Sequence[UnitaryOp]) -> list[list[np.ndarray]]:
-    if len(unitaries) < 2:
-        raise ValueError(f"need at least 2 unitaries, got {len(unitaries)}")
-    for k, u in enumerate(unitaries):
-        if u.dim != unitaries[0].dim:
-            raise ValueError(f"unitary {k} has dim {u.dim}, unitary 0 has dim {unitaries[0].dim}")
-    return [[u.mat] for u in unitaries]
+# --- unitaries: one-Kraus channels, so a single tuple and both sign variants --
 
 
 def unitary_bound_columns(
     spectrum: EigenDecomposition, unitaries: Sequence[UnitaryOp], params: SkewParams
 ) -> BoundColumns:
-    """The unitary bounds of every state of a stacked spectrum, as columns."""
-    return _search_bounds(spectrum, _unitary_kraus(unitaries), params, 1, None, UnitaryBoundReport)
+    """The bounds of the one-Kraus channels {U_t} for every state of a stacked spectrum."""
+    return _search_bounds(spectrum, _padded_kraus(unitaries, "unitaries"), params, 1, None)
 
 
 def unitary_bound_report(
     rho: DensityMatrix, unitaries: Sequence[UnitaryOp], params: SkewParams
-) -> UnitaryBoundReport:
-    """Exact sum plus the three unitary bounds of one state: the stack of one."""
-    kraus = _unitary_kraus(unitaries)
-    spectrum = _stack_of_one(rho, len(kraus[0][0]))
-    return _search_bounds(spectrum, kraus, params, 1, None, UnitaryBoundReport).report(0)
+) -> BoundReport:
+    """The report of the one-Kraus channels {U_t} on one state: the stack of one."""
+    return _lone_report(rho, _padded_kraus(unitaries, "unitaries"), params, 1, None)

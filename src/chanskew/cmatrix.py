@@ -78,11 +78,12 @@ def eig_hermitian(x: np.ndarray) -> EigenDecomposition:
     """
     a = np.asarray(x, dtype=np.complex128)
     a = as_cmatrix_stack(a) if a.ndim == 3 else as_cmatrix(a)
-    asym = np.abs(a - a.conj().swapaxes(-1, -2))
-    if asym.max(initial=0.0) > HERMITIAN_TOL:
+    with np.errstate(over="ignore"):  # an overflow gives inf, not Hermitian
+        asym = np.abs(a - a.conj().swapaxes(-1, -2))
+    if not asym.max(initial=0.0) <= HERMITIAN_TOL:
         worst = asym.max(axis=(-2, -1))
         raise_at_first(
-            worst > HERMITIAN_TOL,
+            ~(worst <= HERMITIAN_TOL),
             lambda k: f"matrix is not Hermitian: max |x - x^H| entry = {float(worst[k]):.3e}",
         )
     try:
@@ -99,10 +100,10 @@ def clamp_psd_eigenvalues(lams: np.ndarray) -> np.ndarray:
     of their row become exact zeros, so a zero eigenvalue computed as a
     residue of either sign gives 0^p = 0 for every p > 0, not nearly 1.
     """
-    if lams.min(initial=0.0) < PSD_EIGENVALUE_FLOOR:
+    if not lams.min(initial=0.0) >= PSD_EIGENVALUE_FLOOR:
         low = lams.min(axis=-1)
         raise_at_first(
-            low < PSD_EIGENVALUE_FLOOR,
+            ~(low >= PSD_EIGENVALUE_FLOOR),
             lambda k: f"not positive semidefinite: eigenvalue {float(low[k]):.3e}",
         )
     scale = np.abs(lams).max(axis=-1, initial=0.0, keepdims=True)

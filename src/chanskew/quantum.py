@@ -15,6 +15,7 @@ a matrix is a list of rows of such pairs, and a channel is
 
 from __future__ import annotations
 
+import reprlib
 import sys
 from dataclasses import dataclass, field
 
@@ -46,14 +47,22 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _isometry_deviation(rows: np.ndarray) -> float:
+    """max |rows^H rows - I|; inf or NaN, without a warning, where the product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(rows.conj().T @ rows - np.eye(rows.shape[1]))))
+
+
 def _validated_spectrum(m: np.ndarray) -> EigenDecomposition:
     """The clamped, frozen spectrum of a coerced (d, d) matrix or (S, d, d) stack.
 
-    One eigensolve (which checks Hermiticity first), then trace and PSD.
+    One eigensolve (which checks Hermiticity first), then trace and PSD. A
+    trace that overflows is not within TRACE_TOL of 1.
     """
     dec = eig_hermitian(m)
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    off = abs(tr - 1.0) > TRACE_TOL
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = np.trace(m, axis1=-2, axis2=-1)
+    off = ~(abs(tr - 1.0) <= TRACE_TOL)
     if off.any():
         raise_at_first(off, lambda k: f"density matrix trace is {complex(tr[k]):.12g}, expected 1")
     spectrum = EigenDecomposition(clamp_psd_eigenvalues(dec.eigenvalues), dec.eigenvectors)
@@ -103,9 +112,9 @@ class KrausChannel:
                     f"{op.shape[0]}x{op.shape[1]}, expected {dim}x{dim}"
                 )
         stack = np.array(mats)
-        rows = stack.reshape(-1, dim)  # E_1 over E_2 over ...: rows^H rows = sum_i E_i^H E_i
-        deviation = float(np.max(np.abs(rows.conj().T @ rows - np.eye(dim))))
-        if deviation > COMPLETENESS_TOL:
+        # E_1 over E_2 over ...: rows^H rows = sum_i E_i^H E_i
+        deviation = _isometry_deviation(stack.reshape(-1, dim))
+        if not deviation <= COMPLETENESS_TOL:
             raise ValueError(
                 f"channel '{self.name}' violates completeness: "
                 f"max |sum E^H E - I| = {deviation:.3g}"
@@ -126,8 +135,8 @@ class UnitaryOp:
 
     def __post_init__(self):
         m = as_cmatrix(self.mat)
-        dev = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-        if dev > UNITARY_TOL:
+        dev = _isometry_deviation(m)
+        if not dev <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary: max |U^H U - I| = {dev:.3g}")
         object.__setattr__(self, "mat", _freeze(m))
 
@@ -150,8 +159,9 @@ def _check_bloch(vec: np.ndarray) -> None:
     finite = np.isfinite(vec).all(axis=-1)
     if not finite.all():
         raise_at_first(~finite, lambda k: f"Bloch vector must be finite, got {vec[k].tolist()}")
-    norm = np.linalg.norm(vec, axis=-1)
-    outside = norm > 1.0 + BLOCH_TOL
+    with np.errstate(over="ignore"):  # an overflow gives inf, outside the ball
+        norm = np.linalg.norm(vec, axis=-1)
+    outside = ~(norm <= 1.0 + BLOCH_TOL)
     if outside.any():
         raise_at_first(
             outside, lambda k: f"Bloch vector outside unit ball (|r| = {float(norm[k]):.12g})"
@@ -242,9 +252,9 @@ def _entry_from_json(node, path: str) -> complex:
         or len(node) != 2
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node)
     ):
-        raise ValueError(f"{path}: expected a [re, im] number pair, got {node!r}")
+        raise ValueError(f"{path}: expected a [re, im] number pair, got {reprlib.repr(node)}")
     if not all(abs(v) <= sys.float_info.max for v in node):  # NaN, Infinity, or too large
-        raise ValueError(f"{path}: expected finite numbers, got {node!r}")
+        raise ValueError(f"{path}: expected finite numbers, got {reprlib.repr(node)}")
     return complex(float(node[0]), float(node[1]))
 
 

@@ -106,8 +106,15 @@ class SweepConfig:
             raise ValueError(f"bloch_radius must be in [0, 1], got {self.bloch_radius}")
 
     def grid(self) -> np.ndarray:
-        """Closed-interval theta grid including both endpoints."""
-        return np.linspace(self.theta_start, self.theta_end, self.steps)
+        """Closed-interval theta grid including both endpoints.
+
+        A grid too large to allocate raises MemoryError, also one of more
+        steps than an intp counts, for which numpy raises ValueError first.
+        """
+        try:
+            return np.linspace(self.theta_start, self.theta_end, self.steps)
+        except ValueError as exc:  # "Maximum allowed size exceeded"
+            raise MemoryError(str(exc)) from exc
 
 
 def _planar_vectors(thetas, radius: float) -> np.ndarray:

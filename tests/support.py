@@ -5,12 +5,13 @@ The skew-information oracles are deliberately built on numpy.linalg
 the comparisons in the tests are genuine dual-route checks. The search
 oracle evaluates every permutation tuple on its own, one K per operand,
 and is the reference the chunked table search must match bit for bit;
-the unitary oracle evaluates the three unitary bounds from their own
-formulas, and the search run on one-Kraus channels must match it bit for
-bit. Both share the package's K evaluator, since what they check is the
-search, and every sum of their bound formulas adds its terms one after
-another (in_order_sum), as the search does; np.sum pairs them up from 8
-terms on. The norm check at the end tests the three vector-norm
+the unitary oracle evaluates the sum, the three unitary bounds and lb3's
+sign variant from their own formulas, and the report of the one-Kraus
+channels must match them bit for bit (unitary_fields). Both share the
+package's K evaluator, since what they check is the search, and every
+sum of their bound formulas adds its terms one after another
+(in_order_sum), as the search does; np.sum pairs them up from 8 terms
+on. The norm check at the end tests the three vector-norm
 inequalities the channel bounds rest on: it fills the package's K tables
 with squared vector norms and scores them with the package's scorer. The
 seeded qubit-state, parameter and unitary generators are the package's
@@ -33,7 +34,6 @@ from chanskew.bounds import (
     _score_chunk,
     enumerate_tuples,
 )
-from chanskew.bounds import UnitaryBoundReport
 from chanskew.cmatrix import EigenDecomposition
 from chanskew.quantum import DensityMatrix, KrausChannel
 from chanskew.repro import random_params, random_qubit_state, random_unitary  # noqa: F401
@@ -336,19 +336,25 @@ def unitary_lb3_value(kp, km, big_n):
 
 
 def oracle_unitary_bound_report(rho, unitaries, params):
-    """unitary_bound_report from the formulas above."""
+    """unitary_fields of unitary_bound_report, from the formulas above."""
     mats = [u.mat for u in unitaries]
     big_n = len(mats)
     cache = weighted_ops(rho.spectrum, params)
     kp, km = unitary_terms(cache, mats)
     lb3, x = unitary_lb3_value(kp, km, big_n)
-    return UnitaryBoundReport(
-        sum=in_order_sum(skew_with_cache(cache, m) for m in mats),
-        lb1=unitary_lb1_value(kp, big_n) if big_n > 2 else None,
-        lb2=unitary_lb2_value(cache, mats, km, big_n),
-        lb3=lb3,
-        argmax_x=x,
-    )
+    return {
+        "sum": in_order_sum(skew_with_cache(cache, m) for m in mats),
+        "lb1": unitary_lb1_value(kp, big_n) if big_n > 2 else None,
+        "lb2": unitary_lb2_value(cache, mats, km, big_n),
+        "lb3": lb3,
+        "x": x,
+    }
+
+
+def unitary_fields(report):
+    """What the unitary formulas give of a report: sum, lb1-lb3 and lb3's sign variant x."""
+    fields = {name: getattr(report, name) for name in ("sum", "lb1", "lb2", "lb3")}
+    return {**fields, "x": report.argmax["lb3"].x}
 
 
 # vector-norm inequalities the channel bounds rest on

@@ -12,6 +12,7 @@ from chanskew.bounds import (
     channel_bound_report,
     enumerate_tuples,
     tuple_bound_values,
+    unitary_bound_columns,
     unitary_bound_report,
 )
 from chanskew.quantum import IDENTITY_2, KrausChannel, UnitaryOp
@@ -339,6 +340,41 @@ class TestKrausRepresentation:
 
 
 class TestUnitaryBounds:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_report_is_the_one_kraus_channel_report(self, rng, dim):
+        # the unitary report is the channel report of {U_1}, ..., {U_N}, both
+        # sign variants searched, lone and stacked
+        for big_n in (2, 3, 4):
+            unitaries = [random_unitary(rng, dim) for _ in range(big_n)]
+            channels = [KrausChannel(f"u{t}", (u.mat,)) for t, u in enumerate(unitaries)]
+            states = [random_density(rng, dim) for _ in range(3)]
+            params = random_params(rng)
+            for rho in states:
+                want = channel_bound_report(rho, channels, params, sign_variant=None)
+                assert unitary_bound_report(rho, unitaries, params) == want
+            spectrum = stacked_spectrum(states)
+            want = channel_bound_columns(spectrum, channels, params, sign_variant=None).reports()
+            assert unitary_bound_columns(spectrum, unitaries, params).reports() == want
+
+    def test_every_argmax_is_the_single_tuple(self, rng):
+        rho = random_qubit_state(rng)
+        rep = unitary_bound_report(rho, [random_unitary(rng) for _ in range(3)], TABLE_PARAMS)
+        assert set(rep.argmax) == {"lb1", "ob1", "lb2", "ob2", "lb3", "ob3"}
+        assert {am.perms for am in rep.argmax.values()} == {((0,), (0,), (0,))}
+        assert rep.argmax["lb3"].x in (0, 1) and rep.argmax["lb2"].x is None
+
+    def test_operator_lists_are_checked(self, rng):
+        with pytest.raises(ValueError, match="^need at least 2 unitaries, got 1$"):
+            unitary_bound_report(random_qubit_state(rng), [random_unitary(rng)], TABLE_PARAMS)
+        unitaries = [random_unitary(rng), random_unitary(rng, 3)]
+        with pytest.raises(ValueError, match="^unitary 1 has dim 3, unitary 0 has dim 2$"):
+            unitary_bound_report(random_qubit_state(rng), unitaries, TABLE_PARAMS)
+        channels = [damping_flip_channels(0.3)[0], KrausChannel("big", (np.eye(3),))]
+        with pytest.raises(ValueError, match="^channel 'big' has dim 3, channel 'amplitude_d"):
+            channel_bound_report(random_qubit_state(rng), channels, TABLE_PARAMS)
+        with pytest.raises(ValueError, match="^need at least 2 channels, got 1$"):
+            channel_bound_report(random_qubit_state(rng), channels[:1], TABLE_PARAMS)
+
     def test_all_identity_unitaries_give_zero(self, rng):
         rho = random_density(rng, 2)
         us = [UnitaryOp(IDENTITY_2)] * 3

@@ -17,7 +17,6 @@ from chanskew.bounds import (
     SOUNDNESS_TOL,
     BoundColumns,
     BoundReport,
-    UnitaryBoundReport,
     channel_bound_columns,
     channel_bound_report,
     enumerate_tuples,
@@ -40,25 +39,18 @@ def random_bloch_vectors(rng, count):
 def assert_columns_are_lone_reports(columns, reports):
     """Each column entry equals the lone report's field, read off the arrays."""
     assert len(columns) == len(reports)
+    tuples = list(enumerate_tuples(columns.shape[1], columns.shape[0]))
     for k, want in enumerate(reports):
         assert columns.sum[k] == want.sum, k
-        names = want.argmax if isinstance(want, BoundReport) else ("lb1", "lb2", "lb3")
-        for name in names:
-            if getattr(want, name) is None:
-                assert name not in columns.values, (k, name)
-                continue
-            assert columns.values[name][k] == getattr(want, name), (k, name)
-        if isinstance(want, BoundReport):
-            assert list(columns.offer) == list(want.argmax)
-            tuples = list(enumerate_tuples(columns.shape[1], columns.shape[0]))
-            for name, argmax in want.argmax.items():
-                tuple_id, slot = divmod(int(columns.offer[name][k]), len(columns.variants))
-                assert tuples[tuple_id] == argmax.perms, (k, name)
-                x = columns.variants[slot] if name in ("lb3", "ob3") else None
-                assert x == argmax.x, (k, name)
-        else:
-            slot = columns.offer["lb3"][k] % len(columns.variants)
-            assert columns.variants[slot] == want.argmax_x, k
+        assert list(columns.values) == list(columns.offer) == list(want.argmax)
+        for name in BoundReport._BOUNDS:
+            value = columns.values[name][k] if name in columns.values else None
+            assert value == getattr(want, name), (k, name)
+        for name, argmax in want.argmax.items():
+            tuple_id, slot = divmod(int(columns.offer[name][k]), len(columns.variants))
+            assert tuples[tuple_id] == argmax.perms, (k, name)
+            x = columns.variants[slot] if name in ("lb3", "ob3") else None
+            assert x == argmax.x, (k, name)
         assert columns.report(k) == want, k
 
 
@@ -136,7 +128,6 @@ def test_unitary_columns_equal_lone_reports(monkeypatch, rng, chunk, count):
     params = random_params(rng)
     vectors = random_bloch_vectors(rng, 11)
     columns = unitary_bound_columns(bloch_spectra(vectors), unitaries, params)
-    assert columns.report_type is UnitaryBoundReport
     assert_columns_are_lone_reports(
         columns, [unitary_bound_report(bloch_state(r), unitaries, params) for r in vectors]
     )
@@ -160,11 +151,10 @@ def test_empty_spectrum_gives_empty_columns():
 # --- the soundness check on arrays --------------------------------------------
 
 
-def one_state_columns(report_type, total, **values):
+def one_state_columns(total, **values):
     """Columns of one state with the given sum and bound values."""
     names = [name for name in ("lb1", "ob1", "lb2", "ob2", "lb3", "ob3") if name in values]
     return BoundColumns(
-        report_type=report_type,
         sum=np.array([total]),
         values={name: np.array([values[name]]) for name in names},
         offer={name: np.array([3]) for name in names},  # tuple ((0, 1), (1, 0)), x = 1
@@ -190,15 +180,20 @@ def edge_rows():
     return total, rows
 
 
-@pytest.mark.parametrize("report_type", [BoundReport, UnitaryBoundReport])
-def test_array_soundness_check_equals_soundness_violations(report_type):
+def row_values(row, unitary):
+    """A row's bound values; a unitary report's ob values equal its lb values."""
+    values = {name: float(v) for name, v in row.items() if v is not None}
+    if unitary:
+        values.update({"ob" + name[2:]: v for name, v in values.items() if name.startswith("lb")})
+    return values
+
+
+@pytest.mark.parametrize("unitary", [False, True], ids=["BoundReport", "UnitaryBoundReport"])
+def test_array_soundness_check_equals_soundness_violations(unitary):
     total, rows = edge_rows()
     flags = []
     for row in rows:
-        values = {name: float(v) for name, v in row.items() if v is not None}
-        if report_type is UnitaryBoundReport:
-            values = {name: v for name, v in values.items() if name.startswith("lb")}
-        columns = one_state_columns(report_type, total, **values)
+        columns = one_state_columns(total, **row_values(row, unitary))
         report = columns.report(0)
         unsound = bool(report.soundness_violations())
         assert (columns.first_unsound() == 0) == unsound, row
@@ -206,15 +201,17 @@ def test_array_soundness_check_equals_soundness_violations(report_type):
     assert True in flags and False in flags
     # stacks of the rows with every value: the first unsound state is the
     # first flagged row
-    full = [(row, flag) for row, flag in zip(rows, flags) if None not in row.values()]
-    names = [name for name in full[0][0] if report_type is BoundReport or name.startswith("lb")]
+    full = [
+        (row_values(row, unitary), flag)
+        for row, flag in zip(rows, flags)
+        if None not in row.values()
+    ]
     for start in range(len(full)):
         part = full[start:]
         columns = BoundColumns(
-            report_type=report_type,
             sum=np.full(len(part), total),
-            values={name: np.array([row[name] for row, _ in part]) for name in names},
-            offer={name: np.full(len(part), 3) for name in names},
+            values={name: np.array([row[name] for row, _ in part]) for name in full[0][0]},
+            offer={name: np.full(len(part), 3) for name in full[0][0]},
             variants=(0, 1),
             shape=(2, 2),
         )

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,52 @@ class TestPauliRotation:
             UnitaryOp(np.diag([1.0, 0.5]))
 
 
+# a matrix whose U^H U overflows to NaN, which no "> tol" test rejects
+OVERFLOWING = [[1e200 - 1e200j, -1e200j], [-1e200j, -1e200 - 1e200j]]
+
+
+class TestHugeFiniteInput:
+    """Each check rejects a deviation that overflows, with its ValueError and no warning."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("mat", [OVERFLOWING, [[1e200, 0.0], [0.0, 1.0]]], ids=["nan", "inf"])
+    def test_unitary_op(self, mat):
+        with pytest.raises(ValueError, match="^matrix is not unitary: max .* = (nan|inf)$"):
+            UnitaryOp(np.array(mat))
+
+    @pytest.mark.parametrize("mat", [OVERFLOWING, [[1e200, 0.0], [0.0, 1.0]]], ids=["nan", "inf"])
+    def test_kraus_channel(self, mat):
+        with pytest.raises(ValueError, match=r"^channel 'x' violates completeness: .*= (nan|inf)$"):
+            KrausChannel("x", (np.array(mat), np.eye(2)))
+
+    def test_bloch_state(self):
+        with pytest.raises(ValueError, match=r"^Bloch vector outside unit ball \(\|r\| = inf\)$"):
+            bloch_state([1e200, 0.0, 0.0])
+
+    def test_bloch_spectra(self):
+        with pytest.raises(ValueError, match=r"^stack member 1: Bloch vector outside unit ball"):
+            bloch_spectra([[0.0, 0.0, 0.5], [1e200, 0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "mat,match",
+        [
+            ([[0.5, 1e308], [-1e308, 0.5]], "not Hermitian: max .* = inf"),
+            ([[1e308, 0.0], [0.0, 1e308]], "trace is inf"),
+            # pairwise, the trace adds (1e308 + 1e308) + (-1e308 - 1e308) = inf - inf
+            (np.diag([1e308, 1e308, -1e308, -1e308]), "trace is nan"),
+        ],
+        ids=["hermiticity", "trace-inf", "trace-nan"],
+    )
+    def test_density_matrix(self, mat, match):
+        with pytest.raises(ValueError, match=match):
+            DensityMatrix(mat)
+
+
 class TestJsonFormats:
     def test_matrix_roundtrip(self):
         node = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, -1.0], [0.0, 0.0]]]
@@ -322,6 +369,14 @@ class TestJsonFormats:
         node = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
         assert density_matrix_from_json(node).dim == 2
         assert density_matrix_from_json({"rho": node}).dim == 2
+
+    def test_deeply_nested_entry_is_abbreviated(self):
+        node = [[json.loads("[" * 900 + "]" * 900), [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+        with pytest.raises(ValueError) as err:
+            density_matrix_from_json({"rho": node}, path="rho.json")
+        message = str(err.value)
+        assert message.startswith("rho.json.rho[0][0]: expected a [re, im] number pair, got [[[")
+        assert len(message) < 100
 
     def test_density_matrix_json_is_validated(self):
         node = [[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.9, 0.0]]]

@@ -421,6 +421,38 @@ class TestCli:
         assert main([command, "--steps", str(10**18)]) == 2
         assert capsys.readouterr().err.startswith(f"error: --steps {10**18}: Unable to allocate")
 
+    @pytest.mark.parametrize("command", ["sweep", "unitary-sweep"])
+    def test_sweep_steps_beyond_intp_exit_2(self, capsys, command):
+        # numpy refuses a grid of more than the largest intp points before it
+        # allocates anything
+        steps = 10**20
+        assert main([command, "--steps", str(steps)]) == 2
+        assert capsys.readouterr().err == f"error: --steps {steps}: Maximum allowed size exceeded\n"
+
+    def test_bounds_overflowing_channels_exit_2(self, tmp_path, capsys):
+        # sum E^H E of this operator overflows to NaN; the report would hold
+        # Infinity and NaN, which is not JSON
+        huge = [[[1e200, -1e200], [0.0, -1e200]], [[0.0, -1e200], [-1e200, -1e200]]]
+        paths = []
+        for k in range(3):
+            paths.append(tmp_path / f"huge{k}.json")
+            paths[-1].write_text(json.dumps({"name": f"huge{k}", "kraus": [huge]}))
+        assert main(["bounds", "--bloch", "0,0,0.5", *map(str, paths)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: channel 'huge0' violates completeness: max |sum E^H E - I| = nan\n"
+        )
+
+    def test_bounds_deeply_nested_entry_exits_2_with_a_short_line(self, tmp_path, capsys):
+        paths = self._write_channels(tmp_path)
+        state = tmp_path / "deep.json"
+        state.write_text('{"rho": [[%s, [0, 0]], [[0, 0], [0.5, 0]]]}' % ("[" * 900 + "]" * 900))
+        assert main(["bounds", "--state", str(state), *paths]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {state}.rho[0][0]: expected a [re, im] number pair, got [[[")
+        assert err.count("\n") == 1 and len(err) < len(str(state)) + 100
+
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_bounds_nonpositive_cap_exits_2(self, tmp_path, capsys, cap):
         paths = self._write_channels(tmp_path)
