@@ -14,6 +14,11 @@ plain term and differences under the square roots, variant 1 swaps the
 two. The reference comparison tables use variant 1, which is therefore
 the default; pass ``sign_variant=None`` to maximize over both.
 
+Each bound is the first maximum of its computed values, offered in
+lexicographic tuple order with variant 0 before variant 1: a later offer
+replaces the best only if strictly larger, so exact ties keep the first
+tuple.
+
 A unitary report is the report of the one-Kraus channels {U_t}: the same
 search over its single tuple with lb3 maximized over both sign variants,
 so every argmax is that tuple, lb3's variant is argmax["lb3"].x, and
@@ -36,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -49,8 +55,6 @@ from .skewinfo import _in_order_sum
 DEFAULT_TUPLE_CAP = 10**6
 SOUNDNESS_TOL = 1e-9
 SQRT_CLAMP_FLOOR = -1e-12
-# a later tuple replaces the argmax only if strictly better than this margin
-ARGMAX_MARGIN = 1e-12
 # (state, tuple) rows scored per vectorized step, which bounds the gathered
 # terms to 4 * SEARCH_CHUNK * P * n floats (plus, minus and their roots). A
 # group of S states has S d^2 <= SEARCH_CHUNK (or S = 1), and its K tables
@@ -215,7 +219,7 @@ def _padded_kraus(
     if kind == "unitaries":
         named = [(f"unitary {k}", (u.mat,)) for k, u in enumerate(channels)]
     else:
-        named = [(f"channel '{ch.name}'", ch.ops) for ch in channels]
+        named = [(f"channel {reprlib.repr(ch.name)}", ch.ops) for ch in channels]
     first, dim = named[0][0], len(named[0][1][0])
     for name, ops in named:
         if len(ops[0]) != dim:
@@ -466,40 +470,6 @@ def _tuples_at(ids: np.ndarray, big_n: int, n: int) -> np.ndarray:
     return shape.perms.take(ids[:, None] // shape.place % len(shape.perms), axis=0)
 
 
-def _sequential_best(values: np.ndarray) -> tuple[float, int]:
-    """The value and position the argmax rule keeps, one offer at a time.
-
-    A replacement is the first value above the current best plus the
-    margin, which is where the running maximum first exceeds that level.
-    """
-    running = np.maximum.accumulate(values)
-    pos = 0
-    while True:
-        nxt = int(running.searchsorted(values[pos] + ARGMAX_MARGIN, side="right"))
-        if nxt == len(values):
-            return values[pos], pos
-        pos = nxt
-
-
-def _first_best(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``values``, the value and position the argmax rule keeps.
-
-    The rule is sequential: the first value offered is taken, and a later
-    one replaces the best only if it exceeds it by more than ARGMAX_MARGIN.
-    A row whose values equal its maximum or lie more than the margin below
-    it ends at its first maximum; other rows are followed offer by offer.
-    """
-    pos = values.argmax(axis=1)
-    top = values[np.arange(len(values)), pos]  # the value itself, signed zero included
-    level = top[:, None]
-    near = values + ARGMAX_MARGIN >= level  # true at each row's maximum
-    if np.count_nonzero(near) > len(values):
-        near &= values != level
-        for r in np.flatnonzero(near.any(axis=1)):
-            top[r], pos[r] = _sequential_best(values[r])
-    return top, pos
-
-
 def _offers(scored: dict[str, np.ndarray], states: int, width: int) -> np.ndarray:
     """Every bound's offers in one scored chunk, one row per (bound, state).
 
@@ -520,14 +490,18 @@ def _offer(
     """Each row's best (value, offer position) after offering ``rows``.
 
     rows[:, 0] is offer position ``first``; ``best`` (None at first) is
-    offered again ahead of the chunk and stays unless beaten by the margin.
+    offered again ahead of the chunk. The best is the first maximum, so
+    only a strictly larger value replaces it: exact ties and the two
+    signed zeros keep the earlier offer.
     """
+    if best is not None:
+        rows = np.concatenate((best[0][:, None], rows), axis=1)
+        first -= 1
+    pos = rows.argmax(axis=1)
+    top = rows[np.arange(len(rows)), pos]  # the value itself, signed zero included
     if best is None:
-        top, pos = _first_best(rows)
         return top, first + pos
-    value, at = best
-    top, pos = _first_best(np.concatenate((value[:, None], rows), axis=1))
-    return top, np.where(pos == 0, at, first + pos - 1)
+    return top, np.where(pos == 0, best[1], first + pos)
 
 
 def _search_bounds(

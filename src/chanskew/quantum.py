@@ -108,7 +108,7 @@ class KrausChannel:
         for k, op in enumerate(mats):
             if op.shape[0] != dim:
                 raise ValueError(
-                    f"channel '{self.name}': Kraus operator {k} is "
+                    f"channel {reprlib.repr(self.name)}: Kraus operator {k} is "
                     f"{op.shape[0]}x{op.shape[1]}, expected {dim}x{dim}"
                 )
         stack = np.array(mats)
@@ -116,7 +116,7 @@ class KrausChannel:
         deviation = _isometry_deviation(stack.reshape(-1, dim))
         if not deviation <= COMPLETENESS_TOL:
             raise ValueError(
-                f"channel '{self.name}' violates completeness: "
+                f"channel {reprlib.repr(self.name)} violates completeness: "
                 f"max |sum E^H E - I| = {deviation:.3g}"
             )
         stack.flags.writeable = False

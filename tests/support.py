@@ -24,7 +24,6 @@ import operator
 import numpy as np
 
 from chanskew.bounds import (
-    ARGMAX_MARGIN,
     BoundArgmax,
     BoundReport,
     _KTables,
@@ -264,8 +263,8 @@ def oracle_tuple_values(cache, channels, perms):
 def oracle_channel_bound_report(rho, channels, params, sign_variant=1):
     """channel_bound_report by evaluating every tuple in turn.
 
-    A later tuple (or sign variant) replaces the argmax only when it beats
-    the best so far by more than ARGMAX_MARGIN.
+    A later tuple (or sign variant) replaces the argmax only when it is
+    strictly larger than the best so far: each bound is its first maximum.
     """
     kraus = _padded_kraus(channels)
     big_n = len(kraus)
@@ -276,7 +275,7 @@ def oracle_channel_bound_report(rho, channels, params, sign_variant=1):
 
     def offer(name, value, perms, x):
         cur = best.get(name)
-        if cur is None or value > cur[0] + ARGMAX_MARGIN:
+        if cur is None or value > cur[0]:
             best[name] = (value, perms, x)
 
     for perms in enumerate_tuples(len(kraus[0]), big_n, cap=10**7):
@@ -324,13 +323,13 @@ def unitary_lb2_value(cache, mats, km, big_n):
 
 
 def unitary_lb3_value(kp, km, big_n):
-    """Best of the two sign variants; variant 1 must beat 0 by ARGMAX_MARGIN."""
+    """Best of the two sign variants; variant 1 must be strictly larger than 0."""
     best_value, best_x = -np.inf, 0
     for x, (plain, root) in enumerate([(kp, km), (km, kp)]):
         value = float(
             in_order_sum(plain) + 2.0 * in_order_sum(_safe_sqrt(root)) ** 2 / (big_n * (big_n - 1))
         ) / (2.0 * (big_n - 1))
-        if value > best_value + ARGMAX_MARGIN:
+        if value > best_value:
             best_value, best_x = value, x
     return best_value, best_x
 

@@ -15,7 +15,7 @@ from chanskew.bounds import (
     unitary_bound_columns,
     unitary_bound_report,
 )
-from chanskew.quantum import IDENTITY_2, KrausChannel, UnitaryOp
+from chanskew.quantum import IDENTITY_2, KrausChannel, UnitaryOp, bloch_state
 from chanskew.repro import damping_flip_channels, planar_bloch_state, remixed_kraus
 from chanskew.skewinfo import SkewParams, skew_info_op, weighted_ops
 
@@ -40,6 +40,15 @@ def table_config(q=0.4, theta=math.pi / 2):
 
 def random_config(rng):
     return random_qubit_state(rng), damping_flip_channels(rng.random()), random_params(rng)
+
+
+def near_mixed_configs(radius, count=40):
+    """Seeded paper-channel configurations on states at Bloch radius ``radius``."""
+    rng = np.random.default_rng(41)
+    for _ in range(count):
+        direction = rng.normal(size=3)
+        rho = bloch_state(radius * direction / np.linalg.norm(direction))
+        yield rho, damping_flip_channels(rng.random()), random_params(rng)
 
 
 class TestEnumerateTuples:
@@ -337,6 +346,39 @@ class TestKrausRepresentation:
             for rep in reports
         }
         assert tightest == {"ob1", "lb2", "lb3"}
+
+
+class TestScale:
+    """Near the maximally mixed state every value shrinks with the Bloch
+    radius r (the sum is about r^2); each bound must still be its exact
+    maximum, whatever the order of the channels or of their Kraus lists."""
+
+    NAMES = ("ob1", "ob2", "ob3", "lb1", "lb2", "lb3")
+
+    @pytest.mark.parametrize("radius", [1e-4, 1e-5, 1e-7])
+    def test_each_bound_is_the_enumerated_maximum(self, radius):
+        # d = 2, where every OpenBLAS kernel rounds the same
+        for rho, channels, params in near_mixed_configs(radius):
+            rep = channel_bound_report(rho, channels, params, sign_variant=None)
+            cache = weighted_ops(rho.spectrum, params)
+            scored = [tuple_bound_values(cache, channels, p) for p in enumerate_tuples(2, 3)]
+            for name in self.NAMES:
+                keys = [f"{name}_x0", f"{name}_x1"] if name.endswith("3") else [name]
+                assert getattr(rep, name) == max(v[k] for v in scored for k in keys), name
+
+    @pytest.mark.parametrize("reverse", ["channels", "kraus"])
+    @pytest.mark.parametrize("radius", [0.5, 1e-4, 1e-5, 1e-7])
+    def test_order_leaves_every_bound(self, radius, reverse):
+        for rho, channels, params in near_mixed_configs(radius):
+            if reverse == "channels":
+                moved = channels[::-1]
+            else:
+                moved = [KrausChannel(ch.name, ch.ops[::-1]) for ch in channels]
+            rep = channel_bound_report(rho, channels, params, sign_variant=None)
+            other = channel_bound_report(rho, moved, params, sign_variant=None)
+            for name in self.NAMES:
+                change = abs(getattr(other, name) - getattr(rep, name))
+                assert change <= 1e-12 * rep.sum, (name, change / rep.sum)
 
 
 class TestUnitaryBounds:

@@ -453,6 +453,15 @@ class TestCli:
         assert err.startswith(f"error: {state}.rho[0][0]: expected a [re, im] number pair, got [[[")
         assert err.count("\n") == 1 and len(err) < len(str(state)) + 100
 
+    def test_bounds_long_channel_name_exits_2_with_a_short_line(self, tmp_path, capsys):
+        bad = tmp_path / "incomplete.json"
+        ident = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        bad.write_text(json.dumps({"name": "x" * 100_000, "kraus": [ident, ident]}))
+        assert main(["bounds", "--bloch", "0,0,0", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel 'xxxx") and "violates completeness" in err
+        assert err.count("\n") == 1 and len(err) < 150
+
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_bounds_nonpositive_cap_exits_2(self, tmp_path, capsys, cap):
         paths = self._write_channels(tmp_path)

@@ -260,25 +260,30 @@ def test_tuples_at_decodes_every_position_an_intp_holds():
 
 
 def sequential_rule(row):
-    """The argmax rule offer by offer: a later value must beat the best by the margin."""
+    """The argmax rule offer by offer: a later value must be strictly larger."""
     best, at = row[0], 0
     for j, value in enumerate(row):
-        if value > best + bounds.ARGMAX_MARGIN:
+        if value > best:
             best, at = value, j
     return best, at
 
 
-def test_first_best_follows_the_sequential_rule(rng):
-    # values a fraction of the margin apart, exact ties and both signed
-    # zeros, so that most rows take the offer-by-offer path
+def test_offer_follows_the_sequential_rule(rng):
+    # values one ulp or about 1e-12 apart, exact ties and both signed zeros,
+    # offered whole and in two chunks, so that the best carried into the
+    # second chunk meets its ties there
     levels = np.array([0.0, -0.0, 0.4e-12, 0.9e-12, 1e-12, 1.1e-12, 2.5e-12, 1.0, 1.0 + 1e-12])
+    levels = np.concatenate((levels, np.nextafter(levels, np.inf)))
     for length in (1, 2, 3, 5, 8, 40):
         rows = rng.choice(levels, size=(300, length))
-        top, pos = bounds._first_best(rows)
-        for row, value, at in zip(rows.tolist(), top.tolist(), pos.tolist()):
+        half = (length + 1) // 2
+        whole = bounds._offer(None, rows, 0)
+        chunked = bounds._offer(bounds._offer(None, rows[:, :half], 0), rows[:, half:], half)
+        for k, row in enumerate(rows.tolist()):
             want = sequential_rule(row)
-            assert (value, at) == want, row
-            assert math.copysign(1.0, value) == math.copysign(1.0, want[0]), row
+            for top, pos in (whole, chunked):
+                assert (top[k], pos[k]) == want, row
+                assert math.copysign(1.0, top[k]) == math.copysign(1.0, want[0]), row
 
 
 def test_offers_keep_each_bounds_own_rule(rng):
