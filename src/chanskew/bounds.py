@@ -54,7 +54,6 @@ from .skewinfo import _in_order_sum
 
 DEFAULT_TUPLE_CAP = 10**6
 SOUNDNESS_TOL = 1e-9
-SQRT_CLAMP_FLOOR = -1e-12
 # (state, tuple) rows scored per vectorized step, which bounds the gathered
 # terms to 4 * SEARCH_CHUNK * P * n floats (plus, minus and their roots). A
 # group of S states has S d^2 <= SEARCH_CHUNK (or S = 1), and its K tables
@@ -165,17 +164,6 @@ class BoundColumns:
         for lb, ob in BoundReport._DOMINANCE:
             bad |= self.values[lb] < self.values[ob] - SOUNDNESS_TOL
         return int(bad.argmax()) if bad.any() else None
-
-
-def _safe_sqrt(values: np.ndarray) -> np.ndarray:
-    """Square root with tiny negative rounding artifacts clamped to zero."""
-    arr = np.asarray(values, dtype=np.float64)
-    low = float(arr.min(initial=0.0))
-    if low < SQRT_CLAMP_FLOOR:
-        raise ValueError(f"skew information value unexpectedly negative: {low:.3e}")
-    if low < 0.0:
-        arr = np.where(arr < 0.0, 0.0, arr)
-    return np.sqrt(arr)
 
 
 def _tuple_count(n: int, big_n: int, cap: int) -> int:
@@ -322,13 +310,13 @@ class _KTables:
 
     @functools.cached_property
     def terms(self) -> np.ndarray:
-        """(4S, P n n): the plus rows, the minus rows, then their clamped roots.
+        """(4S, P n n): the plus rows, the minus rows, then their square roots.
 
-        The roots are taken once per table; a square root is elementwise, and
-        a search reads every entry, so the clamp sees what scoring reads.
+        The roots are taken once per table. Each entry is K, a sum of
+        squares (see skew_batch) and never negative, so its root is plain.
         """
         both = np.stack((self.plus, self.minus)).reshape(-1, self.plus.shape[-1])
-        return np.concatenate((both, _safe_sqrt(both)))
+        return np.concatenate((both, np.sqrt(both)))
 
 
 def _column_sums(ops: np.ndarray, radix: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -416,7 +404,7 @@ def _score_chunk(
     # row 0 of total and of each spread holds the plus terms, row 1 the minus
     total = _in_order_sum(k).reshape(2, -1)
     inner = _in_order_sum(k.reshape(by_pair).swapaxes(0, 1))  # (P, 2S, C)
-    lb_spread = _scalar_square(_in_order_sum(_safe_sqrt(inner))).reshape(2, -1)
+    lb_spread = _scalar_square(_in_order_sum(np.sqrt(inner))).reshape(2, -1)
     ob_roots = _in_order_sum(gathered[:, rows:].reshape(by_pair))  # (n, 2S, C)
     # (lb, ob) by (plus, minus) by row
     spread = np.stack((lb_spread, _in_order_sum(ob_roots**2).reshape(2, -1)))

@@ -240,7 +240,10 @@ def cmd_bounds(args) -> int:
         rho = density_matrix_from_json(_load_json(args.state), path=args.state)
     channels = [channel_from_json(_load_json(path), path=path) for path in args.channels]
     params = _params_from(args)
-    report = channel_bound_report(rho, channels, params, cap=args.cap)
+    try:
+        report = channel_bound_report(rho, channels, params, cap=args.cap)
+    except MemoryError as exc:
+        raise ValueError(f"--cap {args.cap}: {exc}") from exc
     payload = {
         "params": {"alpha": params.alpha, "beta": params.beta, "gamma": params.gamma},
         "channels": [ch.name for ch in channels],

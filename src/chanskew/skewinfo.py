@@ -8,10 +8,15 @@ possibly non-Hermitian) operator E is
     W = (1-gamma) rho^alpha + gamma rho^beta,
     T = rho^((1-alpha-beta)/2).
 
-The equivalent trace form -1/2 Tr([W, E^H][W, E] rho^(1-alpha-beta)) is
-kept out of the runtime path (it can round slightly negative); the test
-suite checks the equality. weighted_ops builds W and T from a spectrum,
-one state's or a stack's, for the functions below and the bound search.
+T's exponent is taken from the sum alpha + beta that SkewParams checks,
+so it is never negative, and T = I wherever that sum rounds to 1. K is
+half the sum of re^2 + im^2 over the entries of [W, E] T, a sum of
+squares that is never negative (not even -0.0), so the bound search
+takes plain square roots of it. The equivalent trace form
+-1/2 Tr([W, E^H][W, E] rho^(1-alpha-beta)) is kept out of the runtime
+path (it can round slightly negative); the test suite checks the
+equality. weighted_ops builds W and T from a spectrum, one state's or a
+stack's, for the functions below and the bound search.
 A channel's skew information is the sum of K over its Kraus operators; a
 unitary channel's is K of its unitary, skew_info_op(rho, u.mat, params).
 """
@@ -69,7 +74,7 @@ def weighted_ops(spectrum: EigenDecomposition, params: SkewParams) -> WeightedOp
     ra = spectral_power(lams, vecs, params.alpha)
     rb = spectral_power(lams, vecs, params.beta)
     w = (1.0 - params.gamma) * ra + params.gamma * rb
-    tail_exp = (1.0 - params.alpha - params.beta) / 2.0
+    tail_exp = (1.0 - (params.alpha + params.beta)) / 2.0  # the sum SkewParams checked
     tail = spectral_power(lams, vecs, tail_exp)
     return WeightedOperatorCache(w=w, tail=tail, tail_is_identity=tail_exp == 0.0)
 

@@ -29,7 +29,6 @@ from chanskew.bounds import (
     _KTables,
     _pair_index,
     _padded_kraus,
-    _safe_sqrt,
     _score_chunk,
     enumerate_tuples,
 )
@@ -194,33 +193,33 @@ def pair_sums(terms):
 
 
 def lb1_value(plus, big_n):
-    deficit = in_order_sum(_safe_sqrt(pair_sums(plus))) ** 2 / (big_n - 1) ** 2
+    deficit = in_order_sum(np.sqrt(pair_sums(plus))) ** 2 / (big_n - 1) ** 2
     return float(in_order_sum(plus.ravel()) - deficit) / (big_n - 2)
 
 
 def ob1_value(plus, big_n):
-    deficit = in_order_sum(in_order_sum(_safe_sqrt(plus)) ** 2) / (big_n - 1) ** 2
+    deficit = in_order_sum(in_order_sum(np.sqrt(plus)) ** 2) / (big_n - 1) ** 2
     return float(in_order_sum(plus.ravel()) - deficit) / (big_n - 2)
 
 
 def lb2_value(col, minus, big_n):
-    spread = in_order_sum(_safe_sqrt(pair_sums(minus))) ** 2
+    spread = in_order_sum(np.sqrt(pair_sums(minus))) ** 2
     return float(in_order_sum(col) / big_n + 2.0 * spread / (big_n**2 * (big_n - 1)))
 
 
 def ob2_value(col, minus, big_n):
-    spread = in_order_sum(in_order_sum(_safe_sqrt(minus)) ** 2)
+    spread = in_order_sum(in_order_sum(np.sqrt(minus)) ** 2)
     return float(in_order_sum(col) / big_n + 2.0 * spread / (big_n**2 * (big_n - 1)))
 
 
 def lb3_value(plain, root, big_n):
-    spread = in_order_sum(_safe_sqrt(pair_sums(root))) ** 2
+    spread = in_order_sum(np.sqrt(pair_sums(root))) ** 2
     total = in_order_sum(plain.ravel())
     return float(total + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
 
 
 def ob3_value(plain, root, big_n):
-    spread = in_order_sum(in_order_sum(_safe_sqrt(root)) ** 2)
+    spread = in_order_sum(in_order_sum(np.sqrt(root)) ** 2)
     total = in_order_sum(plain.ravel())
     return float(total + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
 
@@ -313,13 +312,13 @@ def unitary_terms(cache, mats):
 
 
 def unitary_lb1_value(kp, big_n):
-    deficit = in_order_sum(_safe_sqrt(kp)) ** 2 / (big_n - 1) ** 2
+    deficit = in_order_sum(np.sqrt(kp)) ** 2 / (big_n - 1) ** 2
     return float(in_order_sum(kp) - deficit) / (big_n - 2)
 
 
 def unitary_lb2_value(cache, mats, km, big_n):
     mean_term = skew_with_cache(cache, sum(mats)) / big_n
-    return float(mean_term + 2.0 * in_order_sum(_safe_sqrt(km)) ** 2 / (big_n**2 * (big_n - 1)))
+    return float(mean_term + 2.0 * in_order_sum(np.sqrt(km)) ** 2 / (big_n**2 * (big_n - 1)))
 
 
 def unitary_lb3_value(kp, km, big_n):
@@ -327,7 +326,7 @@ def unitary_lb3_value(kp, km, big_n):
     best_value, best_x = -np.inf, 0
     for x, (plain, root) in enumerate([(kp, km), (km, kp)]):
         value = float(
-            in_order_sum(plain) + 2.0 * in_order_sum(_safe_sqrt(root)) ** 2 / (big_n * (big_n - 1))
+            in_order_sum(plain) + 2.0 * in_order_sum(np.sqrt(root)) ** 2 / (big_n * (big_n - 1))
         ) / (2.0 * (big_n - 1))
         if value > best_value:
             best_value, best_x = value, x

@@ -16,7 +16,12 @@ from chanskew.bounds import (
     unitary_bound_report,
 )
 from chanskew.quantum import IDENTITY_2, KrausChannel, UnitaryOp, bloch_state
-from chanskew.repro import damping_flip_channels, planar_bloch_state, remixed_kraus
+from chanskew.repro import (
+    damping_flip_channels,
+    eighth_turn_unitaries,
+    planar_bloch_state,
+    remixed_kraus,
+)
 from chanskew.skewinfo import SkewParams, skew_info_op, weighted_ops
 
 from support import (
@@ -301,6 +306,19 @@ class TestChannelBounds:
         assert set(data) == {"sum", "ob1", "ob2", "ob3", "lb1", "lb2", "lb3", "argmax"}
         assert data["argmax"]["lb3"]["x"] == 1
         assert all(len(p) == 2 for p in data["argmax"]["lb2"]["perms"])
+
+    @pytest.mark.parametrize("alpha,beta", [(0.9, 0.1), (0.8, 0.2)])
+    def test_exponents_summing_to_one_give_finite_reports(self, alpha, beta):
+        # a tail exponent that rounds below 0 would make every value NaN on a pure state
+        params = SkewParams(alpha, beta, 0.25)
+        rho = bloch_state((0.0, 0.0, 1.0))
+        for rep in (
+            channel_bound_report(rho, damping_flip_channels(0.4), params),
+            unitary_bound_report(rho, eighth_turn_unitaries(), params),
+        ):
+            values = [v for v in rep.to_json_dict().values() if isinstance(v, float)]
+            assert len(values) == 7 and all(math.isfinite(v) for v in values)
+            assert rep.soundness_violations() == []
 
 
 class TestKrausRepresentation:

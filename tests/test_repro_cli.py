@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chanskew import cli, cmatrix, repro
+from chanskew import bounds, cli, cmatrix, repro
 from chanskew.bounds import channel_bound_report, unitary_bound_report
 from chanskew.cli import main
 from chanskew.repro import (
@@ -420,6 +420,34 @@ class TestCli:
         # a grid of 10^18 floats (6.94 EiB) fails to allocate at once
         assert main([command, "--steps", str(10**18)]) == 2
         assert capsys.readouterr().err.startswith(f"error: --steps {10**18}: Unable to allocate")
+
+    def test_bounds_cap_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 40 two-Kraus channels under --cap 10^13 need an 8 TiB column table;
+        # the allocation failure is simulated, so nothing that large is tried
+        def unable(*args):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(bounds, "_k_tables", unable)
+        paths = self._write_channels(tmp_path)
+        assert main(["bounds", "--bloch", "0,0,0.5", "--cap", str(10**13), *paths]) == 2
+        assert capsys.readouterr().err == f"error: --cap {10**13}: Unable to allocate 8.00 TiB\n"
+
+    @pytest.mark.parametrize("alpha,beta", [("0.9", "0.1"), ("0.8", "0.2")])
+    def test_exponents_summing_to_one_on_a_pure_state(self, tmp_path, capsys, alpha, beta):
+        # Bloch radius 1 is a pure state, where a tail exponent below 0 would give NaN
+        exps = ["--alpha", alpha, "--beta", beta]
+        for command in ("sweep", "unitary-sweep"):
+            assert main([command, "--steps", "3", "--bloch-radius", "1", *exps]) == 0
+            out = capsys.readouterr().out
+            assert len(out.splitlines()) == 4 and "nan" not in out
+        paths = self._write_channels(tmp_path)
+        assert main(["bounds", "--bloch", "0,0,1", *exps, *paths]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} in the report")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)["report"]
+        assert all(math.isfinite(report[name]) for name in ("sum", "ob1", "lb1", "lb3"))
 
     @pytest.mark.parametrize("command", ["sweep", "unitary-sweep"])
     def test_sweep_steps_beyond_intp_exit_2(self, capsys, command):

@@ -5,7 +5,6 @@ values and argmax tuples of evaluating every tuple on its own, and, run on
 one-Kraus channels, the unitary bounds computed from their own formulas.
 """
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -430,27 +429,6 @@ def test_shape_caches_its_whole_search_up_to_the_item_bound(monkeypatch, rng):
         assert got.to_json_dict() == want.to_json_dict()
     finally:
         bounds._shape.cache_clear()
-
-
-def test_table_roots_clamp_tiny_negatives_and_reject_larger_ones():
-    rng = np.random.default_rng(31)
-    tables = synthetic_tables(rng, 3, 2)
-    tuples = list(enumerate_tuples(2, 3))
-    # -3e-13 per entry, -6e-13 per pair sum: above SQRT_CLAMP_FLOOR, so
-    # every root of the minus terms is zero and lb2, ob2 are the col mean
-    tiny = dataclasses.replace(tables, minus=np.full_like(tables.minus, -3e-13))
-    assert tiny.terms[3].tolist() == [0.0] * tiny.minus.size
-    assert_scored_match_oracle(tiny, tuples)
-    scored = bounds._score_chunk(tiny, np.array(tuples), (0, 1))
-    for c, perms in enumerate(tuples):
-        col = support.table_terms(tiny, perms)[2]
-        assert scored["lb2"][c] == scored["ob2"][c] == col.sum() / 3
-    # one entry below the floor fails the search, whichever tuple reads it
-    low = tables.plus.copy()
-    low[5] = 2 * bounds.SQRT_CLAMP_FLOOR
-    bad = dataclasses.replace(tables, plus=low)
-    with pytest.raises(ValueError, match="unexpectedly negative"):
-        bounds._score_chunk(bad, np.array(tuples), (0, 1))
 
 
 @pytest.mark.parametrize("dim", [2, 4])

@@ -357,6 +357,36 @@ class TestSkewBatch:
                 if k == 0:  # a lone cache is a stack of one
                     assert skew_batch(cache, ops).tolist() == want, (s, m, dim)
 
+    # K is half a sum of squares, so no operand gives a negative value or
+    # -0.0, and the bound search takes plain square roots of it: lone and
+    # stacked caches, singular states, zero, -0, identity and W operands,
+    # and operands scaled from 1e-100 to 1e100 (K stays far from overflow)
+    @pytest.mark.parametrize("identity_tail", [False, True])
+    def test_values_carry_no_sign_bit(self, rng, identity_tail):
+        sums_to_one = [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (1.0, 0.0), (0.9, 0.1), (0.8, 0.2)]
+        for k in range(64):
+            dim = k % 8 + 1
+            if identity_tail:
+                alpha, beta = sums_to_one[k % len(sums_to_one)]
+                params = SkewParams(alpha, beta, rng.random())
+            else:
+                params = random_params(rng)
+            ranks = rng.integers(1, dim + 1, size=1 + k % 5)  # rank dim is full rank
+            states = [low_rank_density(rng, dim, int(rank)) for rank in ranks]
+            stack = weighted_ops(stacked_spectrum(states), params)
+            assert stack.tail_is_identity == identity_tail
+            scale = 10.0 ** rng.uniform(-100.0, 100.0, size=(40, 1, 1))
+            ops = np.concatenate([
+                np.zeros((1, dim, dim), dtype=np.complex128),
+                np.full((1, dim, dim), complex(-0.0, -0.0)),
+                np.eye(dim, dtype=np.complex128)[None],
+                stack.w,
+                np.array([random_matrix(rng, dim) for _ in range(40)]) * scale,
+            ])
+            assert not np.signbit(skew_batch(stack, ops)).any(), (k, params)
+            cache = weighted_ops(states[-1].spectrum, params)
+            assert not np.signbit(skew_batch(cache, ops)).any(), (k, params)
+
     def test_empty_operand_stack(self, rng):
         for dim in (1, 2, 5):
             states = [random_density(rng, dim) for _ in range(3)]
@@ -434,3 +464,17 @@ class TestSingularStates:
             assert skew_info_op(rho, e, zero_tail) == pytest.approx(
                 0.5 * np.linalg.norm(comm) ** 2, abs=1e-12
             )
+
+    # 1 - 0.9 - 0.1 rounds to -1.4e-17, and a zero eigenvalue to that power
+    # is inf; the tail exponent comes from the sum SkewParams checked, so
+    # every pair whose sum rounds to 1 has T = I exactly
+    @pytest.mark.parametrize("alpha,beta", [(0.9, 0.1), (0.8, 0.2)])
+    def test_exponents_summing_to_one_give_identity_tail(self, rng, alpha, beta):
+        params = SkewParams(alpha, beta, 0.25)
+        pure = bloch_state((0.0, 0.0, 1.0))
+        for rho in (pure, random_density(rng, 2), low_rank_density(rng, 3, 1)):
+            cache = weighted_ops(rho.spectrum, params)
+            assert cache.tail_is_identity
+            assert (cache.tail == np.eye(rho.dim)).all()
+        # W = P on |0><0|, so K(X) = ||[P, X]||^2 / 2 = 1
+        assert skew_info_op(pure, PAULI_1, params) == pytest.approx(1.0, abs=1e-12)
