@@ -57,8 +57,10 @@ SOUNDNESS_TOL = 1e-9
 # (state, tuple) rows scored per vectorized step, which bounds the gathered
 # terms to 4 * SEARCH_CHUNK * P * n floats (plus, minus and their roots). A
 # group of S states has S d^2 <= SEARCH_CHUNK (or S = 1), and its K tables
-# are evaluated SEARCH_CHUNK // (S d^2) operands at a time (at least one),
-# so each temporary holds at most max(SEARCH_CHUNK, d^2) complex numbers.
+# are evaluated SEARCH_CHUNK // (S d^2) operands at a time (at least one).
+# A slice holds its operands (column sums are built per slice) and
+# skew_batch's two product buffers, each of at most max(SEARCH_CHUNK, d^2)
+# complex numbers: 64 KiB, below glibc's 128 KiB mmap threshold.
 SEARCH_CHUNK = 4096
 # index entries, C n (N + P + 1) intp, up to which a shape caches its whole search
 WHOLE_SEARCH_CACHE_ITEMS = 2**15
@@ -102,10 +104,10 @@ class BoundReport:
         out = []
         for name in self._BOUNDS:
             value = getattr(self, name)
-            if value is not None and value > self.sum + SOUNDNESS_TOL:
+            if value is not None and not value <= self.sum + SOUNDNESS_TOL:
                 out.append(f"{name} = {value!r} exceeds sum = {self.sum!r}")
         for lb, ob in self._DOMINANCE:
-            if getattr(self, lb) < getattr(self, ob) - SOUNDNESS_TOL:
+            if not getattr(self, lb) >= getattr(self, ob) - SOUNDNESS_TOL:
                 out.append(f"{lb} = {getattr(self, lb)!r} below {ob} = {getattr(self, ob)!r}")
         return out
 
@@ -143,12 +145,13 @@ class BoundColumns:
             name: float(self.values[name][k]) if name in self.values else None
             for name in BoundReport._BOUNDS
         }
-        tuple_id, slot = np.divmod([at[k] for at in self.offer.values()], len(self.variants))
-        x = dict(zip(self.offer, np.take(self.variants, slot).tolist()))
-        perms = _tuples_at(tuple_id, *self.shape).tolist()
+        offers = [divmod(at.item(k), len(self.variants)) for at in self.offer.values()]
+        perms = _tuples_at(np.array([tuple_id for tuple_id, _ in offers]), *self.shape).tolist()
         argmax = {
-            name: BoundArgmax(tuple(map(tuple, p)), x[name] if name in ("lb3", "ob3") else None)
-            for name, p in zip(self.offer, perms)
+            name: BoundArgmax(
+                tuple(map(tuple, p)), self.variants[slot] if name in ("lb3", "ob3") else None
+            )
+            for name, p, (_, slot) in zip(self.offer, perms, offers)
         }
         return BoundReport(float(self.sum[k]), **fields, argmax=argmax)
 
@@ -160,9 +163,9 @@ class BoundColumns:
         bad = np.zeros(len(self), dtype=bool)
         for name in BoundReport._BOUNDS:
             if name in self.values:
-                bad |= self.values[name] > self.sum + SOUNDNESS_TOL
+                bad |= ~(self.values[name] <= self.sum + SOUNDNESS_TOL)
         for lb, ob in BoundReport._DOMINANCE:
-            bad |= self.values[lb] < self.values[ob] - SOUNDNESS_TOL
+            bad |= ~(self.values[lb] >= self.values[ob] - SOUNDNESS_TOL)
         return int(bad.argmax()) if bad.any() else None
 
 
@@ -332,19 +335,23 @@ def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _K
     """The K tables of padded Kraus lists, evaluated slice by slice.
 
     The operand stack is the Kraus operators, the plus and minus pair
-    operands and the n^N column sums, in that order; column sums are built
-    only for the slice being evaluated, so operand memory does not grow
-    with n^N. A slice holds SEARCH_CHUNK // (S d^2) operands (at least one)
-    for a cache of S states (S = 1 for a lone cache).
+    operands and the n^N column sums, in that order. The first three are
+    written into one preallocated stack; column sums are built only for
+    the slice being evaluated, so operand memory does not grow with n^N.
+    A slice holds SEARCH_CHUNK // (S d^2) operands (at least one) for a
+    cache of S states (S = 1 for a lone cache).
     """
     ops = np.array(kraus)
     big_n, n, d = ops.shape[:3]
     shape = _shape(big_n, n)
+    m = big_n * n
+    p = len(shape.pairs) * n * n
+    head = np.empty((m + 2 * p, d, d), dtype=ops.dtype)
+    head[:m] = ops.reshape(m, d, d)
     left = ops[shape.pairs[:, 0]][:, :, None]
     right = ops[shape.pairs[:, 1]][:, None]
-    head = np.concatenate(
-        [ops.reshape(-1, d, d), (left + right).reshape(-1, d, d), (left - right).reshape(-1, d, d)]
-    )
+    np.add(left, right, out=head[m : m + p].reshape(-1, n, n, d, d))
+    np.subtract(left, right, out=head[m + p :].reshape(-1, n, n, d, d))
     k = np.empty(cache.w.shape[:-2] + (len(head) + n**big_n,))
     rows = max(1, SEARCH_CHUNK // cache.w.size)
     for lo in range(0, k.shape[-1], rows):
@@ -354,8 +361,6 @@ def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _K
             cols = _column_sums(ops, shape.radix, max(lo - len(head), 0), hi - len(head))
             part = np.concatenate((part, cols))
         k[..., lo:hi] = skew_batch(cache, part)
-    m = big_n * n
-    p = len(shape.pairs) * n * n
     return _KTables(
         kraus=k[..., :m],
         plus=k[..., m : m + p],

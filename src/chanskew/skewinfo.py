@@ -101,6 +101,13 @@ def skew_batch(cache: WeightedOperatorCache, ops: np.ndarray) -> np.ndarray:
     at some d > 2, where a stacked K can then differ in the last bits
     (ROADMAP item 1). Stacking by columns (W @ [E_1 ... E_M]) or
     (E^T W^T)^T rounds otherwise even on SkylakeX.
+
+    A call holds two (S, M, d, d) product buffers, no more: [W, E]
+    overwrites the E W products and [W, E] T the W E products. A K-table
+    slice at d = 16 makes 64 KiB products, and glibc hands freed memory at
+    the top of its heap back to the OS once it exceeds 128 KiB (its default
+    M_TRIM_THRESHOLD); each extra buffer per call can push a slice's frees
+    past that, and the next slice then faults the pages in again.
     """
     w, tail = cache.w, cache.tail
     d = w.shape[-1]
@@ -109,11 +116,12 @@ def skew_batch(cache: WeightedOperatorCache, ops: np.ndarray) -> np.ndarray:
     m = len(ops)
     ws = w.reshape(-1, d, d)
     s = len(ws)
-    we = (ws.reshape(s * d, d) @ ops).reshape(m, s, d, d).swapaxes(0, 1)
-    ew = (ops.reshape(m * d, d) @ ws).reshape(s, m, d, d)
-    c = (we - ew).reshape(s, m * d, d)
+    we = ws.reshape(s * d, d) @ ops
+    c = (ops.reshape(m * d, d) @ ws).reshape(s, m, d, d)  # E W, then [W, E] in place
+    np.subtract(we.reshape(m, s, d, d).swapaxes(0, 1), c, out=c)
+    c = c.reshape(s, m * d, d)
     if not cache.tail_is_identity:
-        c = c @ tail.reshape(s, d, d)
+        c = np.matmul(c, tail.reshape(s, d, d), out=we.reshape(s, m * d, d))
     rows = c.reshape(s, m, d * d)
     k = 0.5 * np.vecdot(rows, rows).real
     return k if w.ndim == 3 else k[0]

@@ -60,7 +60,7 @@ def weighted_mid(rho: np.ndarray, alpha: float, beta: float, gamma: float) -> np
 def direct_skew(rho, e, alpha, beta, gamma) -> float:
     """Norm form 1/2 ||[W, E] rho^((1-a-b)/2)||^2, all numpy primitives."""
     w = weighted_mid(rho, alpha, beta, gamma)
-    c = (w @ e - e @ w) @ eigh_power(rho, (1.0 - alpha - beta) / 2.0)
+    c = (w @ e - e @ w) @ eigh_power(rho, (1.0 - (alpha + beta)) / 2.0)
     return 0.5 * np.linalg.norm(c) ** 2
 
 
@@ -69,13 +69,13 @@ def trace_form_skew(rho, e, alpha, beta, gamma) -> float:
     w = weighted_mid(rho, alpha, beta, gamma)
     ca = w @ e.conj().T - e.conj().T @ w
     cb = w @ e - e @ w
-    return -0.5 * np.trace(ca @ cb @ eigh_power(rho, 1.0 - alpha - beta)).real
+    return -0.5 * np.trace(ca @ cb @ eigh_power(rho, 1.0 - (alpha + beta))).real
 
 
 def stacked_channel_skew(rho, ops, alpha, beta, gamma) -> float:
     """1/2 || [ [W,E_1]T  [W,E_2]T  ... ] ||^2 for the block-row stack."""
     w = weighted_mid(rho, alpha, beta, gamma)
-    tail = eigh_power(rho, (1.0 - alpha - beta) / 2.0)
+    tail = eigh_power(rho, (1.0 - (alpha + beta)) / 2.0)
     blocks = [(w @ e - e @ w) @ tail for e in ops]
     return 0.5 * np.linalg.norm(np.hstack(blocks)) ** 2
 
@@ -117,7 +117,7 @@ def skew_two_exponent_hermitian(rho, a_mat, alpha, beta, gamma) -> float:
     """-1/2 Tr([W, A]^2 rho^(1-a-b)) with W = (1-g) rho^a + g rho^b."""
     w = weighted_mid(rho, alpha, beta, gamma)
     c = w @ a_mat - a_mat @ w
-    return -0.5 * np.trace(c @ c @ eigh_power(rho, 1.0 - alpha - beta)).real
+    return -0.5 * np.trace(c @ c @ eigh_power(rho, 1.0 - (alpha + beta))).real
 
 
 def stacked_spectrum(states) -> EigenDecomposition:

@@ -5,6 +5,7 @@ K rounds as the lone K does on every OpenBLAS kernel measured (ROADMAP
 item 1), so these checks do not depend on the BLAS kernel.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from chanskew import bounds, repro
 from chanskew.bounds import (
     SOUNDNESS_TOL,
+    BoundArgmax,
     BoundColumns,
     BoundReport,
     channel_bound_columns,
@@ -46,12 +48,16 @@ def assert_columns_are_lone_reports(columns, reports):
         for name in BoundReport._BOUNDS:
             value = columns.values[name][k] if name in columns.values else None
             assert value == getattr(want, name), (k, name)
+        decoded = {}
         for name, argmax in want.argmax.items():
             tuple_id, slot = divmod(int(columns.offer[name][k]), len(columns.variants))
             assert tuples[tuple_id] == argmax.perms, (k, name)
             x = columns.variants[slot] if name in ("lb3", "ob3") else None
             assert x == argmax.x, (k, name)
+            decoded[name] = BoundArgmax(tuples[tuple_id], x)
         assert columns.report(k) == want, k
+        # Python ints and floats throughout, as printed and written to JSON
+        assert repr(columns.report(k)) == repr(dataclasses.replace(want, argmax=decoded)), k
 
 
 CHANNEL_CASES = [
@@ -217,6 +223,28 @@ def test_array_soundness_check_equals_soundness_violations(unitary):
         )
         first = next((k for k, (_, flag) in enumerate(part) if flag), None)
         assert columns.first_unsound() == first, start
+
+
+@pytest.mark.parametrize("name", ("sum",) + BoundReport._BOUNDS)
+def test_a_nan_is_unsound(name):
+    # NaN compares False both ways, so each check is written as "not within"
+    total, (base, *_) = edge_rows()
+    nan_total = math.nan if name == "sum" else total
+    row = base if name == "sum" else {**base, name: math.nan}
+    report = BoundReport(nan_total, **row, argmax={})
+    assert report.soundness_violations(), name
+    assert one_state_columns(nan_total, **row).first_unsound() == 0, name
+    # one NaN state among sound ones
+    columns = BoundColumns(
+        sum=np.array([total, nan_total, total]),
+        values={k: np.array([base[k], row[k], base[k]]) for k in base},
+        offer={k: np.full(3, 3) for k in base},
+        variants=(0, 1),
+        shape=(2, 2),
+    )
+    assert columns.first_unsound() == 1, name
+    assert not columns.report(0).soundness_violations()
+    assert columns.report(1).soundness_violations(), name
 
 
 def test_sweep_raises_the_lone_reports_text(monkeypatch):

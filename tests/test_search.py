@@ -209,6 +209,25 @@ def test_k_tables_are_bit_identical_to_single_operand_evaluation(monkeypatch):
     assert (3, 1) in sizes
 
 
+def test_k_tables_of_read_only_inputs(rng):
+    # the operands are written into a stack _k_tables allocates, never into
+    # the Kraus operators or the cache; lone and stacked caches
+    for dim, counts, states in [(2, (3, 3, 2, 1), 1), (4, (2, 2, 2), 1), (3, (2, 1, 2), 3)]:
+        _, channels, params = random_config(rng, dim, counts)
+        rhos = [random_density(rng, dim) for _ in range(states)]
+        cache = weighted_ops(rhos[0].spectrum if states == 1 else stacked_spectrum(rhos), params)
+        kraus = bounds._padded_kraus(channels)
+        inputs = [cache.w, cache.tail, *(e for ops in kraus for e in ops)]
+        kept = [arr.copy() for arr in inputs]
+        want = bounds._k_tables(cache, kraus)
+        for arr in inputs:
+            arr.flags.writeable = False
+        got = bounds._k_tables(cache, kraus)
+        for field in ("kraus", "plus", "minus", "col"):
+            assert getattr(got, field).tolist() == getattr(want, field).tolist(), (dim, counts)
+        assert all(arr.tobytes() == orig.tobytes() for arr, orig in zip(inputs, kept))
+
+
 @pytest.mark.parametrize("chunk", [None, 3])
 def test_all_ties_keep_the_identity_tuple(monkeypatch, rng, chunk):
     # identical Kraus operators make every tuple score exactly the same,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from chanskew.quantum import (
 )
 from chanskew.skewinfo import (
     SkewParams,
+    WeightedOperatorCache,
     skew_batch,
     skew_info_channel,
     skew_info_op,
@@ -387,6 +389,51 @@ class TestSkewBatch:
             cache = weighted_ops(states[-1].spectrum, params)
             assert not np.signbit(skew_batch(cache, ops)).any(), (k, params)
 
+    # [W, E] overwrites the E W products and [W, E] T the W E products, so a
+    # call holds two (S, M, d, d) product stacks and its (S, M) dot products
+    # and K; three stacks for S > 1, where numpy buffers the strided
+    # subtraction. tracemalloc sees numpy's data buffers; the slack covers the
+    # interpreter's own bookkeeping
+    @pytest.mark.parametrize("identity_tail", [False, True])
+    def test_holds_at_most_two_product_stacks(self, rng, identity_tail):
+        slack = 4096
+        params = SkewParams(0.25, 0.75, 0.25) if identity_tail else SkewParams(0.3, 0.2, 0.4)
+        shapes = [(1, 16, 16), (1, 300, 4), (1, 7, 13), (4, 8, 8), (16, 16, 16), (2, 300, 4)]
+        for s, m, dim in shapes:
+            states = [random_density(rng, dim) for _ in range(s)]
+            spectrum = states[0].spectrum if s == 1 else stacked_spectrum(states)
+            cache = weighted_ops(spectrum, params)
+            ops = np.array([random_matrix(rng, dim) for _ in range(m)])
+            skew_batch(cache, ops)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                skew_batch(cache, ops)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            product = s * m * dim * dim * np.dtype(np.complex128).itemsize
+            limit = (2 if s == 1 else 3) * product + s * m * (16 + 8) + slack
+            assert peak <= limit, (s, m, dim, peak / product)
+
+    # the products are written into buffers skew_batch allocates, never into
+    # its operands or the cache
+    def test_read_only_inputs(self, rng):
+        for s, dim in [(1, 4), (1, 16), (3, 5)]:
+            for params in (HALF, SkewParams(0.3, 0.2, 0.4)):
+                states = [random_density(rng, dim) for _ in range(s)]
+                spectrum = states[0].spectrum if s == 1 else stacked_spectrum(states)
+                cache = weighted_ops(spectrum, params)
+                ops = np.array([random_matrix(rng, dim) for _ in range(20)])
+                inputs = (cache.w, cache.tail, ops)
+                frozen = [arr.copy() for arr in inputs]
+                for arr in frozen:
+                    arr.flags.writeable = False
+                want = skew_batch(cache, ops)
+                frozen_cache = WeightedOperatorCache(frozen[0], frozen[1], cache.tail_is_identity)
+                assert skew_batch(frozen_cache, frozen[2]).tolist() == want.tolist()
+                assert all(arr.tobytes() == copy.tobytes() for arr, copy in zip(inputs, frozen))
+
     def test_empty_operand_stack(self, rng):
         for dim in (1, 2, 5):
             states = [random_density(rng, dim) for _ in range(3)]
@@ -478,3 +525,21 @@ class TestSingularStates:
             assert (cache.tail == np.eye(rho.dim)).all()
         # W = P on |0><0|, so K(X) = ||[P, X]||^2 / 2 = 1
         assert skew_info_op(pure, PAULI_1, params) == pytest.approx(1.0, abs=1e-12)
+
+    # the test oracles also take T's exponent from the sum alpha + beta, so
+    # on singular states they agree with the package where the exponent pair
+    # sums to 1. The states are diagonal, so their zero eigenvalues are exact
+    # zeros: the oracles clip only negative residues, where the package also
+    # zeroes positive ones (clamp_psd_eigenvalues)
+    @pytest.mark.parametrize("alpha,beta", [(0.9, 0.1), (0.8, 0.2)])
+    def test_oracles_agree_on_singular_states(self, rng, alpha, beta):
+        params = SkewParams(alpha, beta, rng.random())
+        diagonals = [(1.0, 0.0), (0.7, 0.3, 0.0), (0.5, 0.0, 0.25, 0.25), (0.0, 0.0, 1.0)]
+        for diagonal in diagonals:
+            rho = DensityMatrix(np.diag(diagonal).astype(np.complex128))
+            for _ in range(10):
+                e = random_matrix(rng, rho.dim)
+                got = skew_info_op(rho, e, params)
+                for oracle in (direct_skew, trace_form_skew):
+                    want = oracle(rho.mat, e, alpha, beta, params.gamma)
+                    assert got == pytest.approx(want, abs=1e-10), (rho.dim, oracle.__name__)
