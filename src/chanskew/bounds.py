@@ -19,10 +19,17 @@ lexicographic tuple order with variant 0 before variant 1: a later offer
 replaces the best only if strictly larger, so exact ties keep the first
 tuple.
 
+The search scores blocks of the permutation-digit grid: a pair's terms
+depend on a tuple only through the pair's two permutation digits, so
+each is gathered, added and rooted once per digit pair and broadcast
+onto the block. Every sum adds its terms one after another; the total of
+all pair terms is the sum of the P pair sums, and every square is v * v.
+
 A unitary report is the report of the one-Kraus channels {U_t}: the same
 search over its single tuple with lb3 maximized over both sign variants,
 so every argmax is that tuple, lb3's variant is argmax["lb3"].x, and
-ob1/ob2/ob3 equal lb1/lb2/lb3 mathematically.
+ob1/ob2/ob3 equal lb1/lb2/lb3 bit for bit (one Kraus index: each ob sum
+over it has one term).
 
 One search scores every bound N allows for a stack of states that share
 the channels (or unitaries) and params. channel_bound_columns and
@@ -43,7 +50,7 @@ import itertools
 import math
 import reprlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,16 +61,15 @@ from .skewinfo import _in_order_sum
 
 DEFAULT_TUPLE_CAP = 10**6
 SOUNDNESS_TOL = 1e-9
-# (state, tuple) rows scored per vectorized step, which bounds the gathered
-# terms to 4 * SEARCH_CHUNK * P * n floats (plus, minus and their roots). A
-# group of S states has S d^2 <= SEARCH_CHUNK (or S = 1), and its K tables
-# are evaluated SEARCH_CHUNK // (S d^2) operands at a time (at least one).
-# A slice holds its operands (column sums are built per slice) and
+# (state, tuple) rows scored per vectorized step: a group of S states is
+# scored in blocks of at most SEARCH_CHUNK // S tuples, whose largest
+# array, the pair tables added on the block, holds 2 (n + 2) SEARCH_CHUNK
+# floats. A group has S d^2 <= SEARCH_CHUNK (or S = 1), and its K tables are
+# evaluated SEARCH_CHUNK // (S d^2) operands at a time (at least one). A
+# slice holds its operands (column sums are built per slice) and
 # skew_batch's two product buffers, each of at most max(SEARCH_CHUNK, d^2)
 # complex numbers: 64 KiB, below glibc's 128 KiB mmap threshold.
 SEARCH_CHUNK = 4096
-# index entries, C n (N + P + 1) intp, up to which a shape caches its whole search
-WHOLE_SEARCH_CACHE_ITEMS = 2**15
 SIGN_VARIANT_DEFAULT = 1
 
 PermTuple = tuple[tuple[int, ...], ...]
@@ -224,70 +230,32 @@ def _pair_index(big_n: int) -> list[tuple[int, int]]:
     return [(t, s) for t in range(big_n) for s in range(t + 1, big_n)]
 
 
-@dataclass(frozen=True)
-class _Shape:
-    """Read-only index arrays of a search over N channels of n Kraus operators.
+class _Shape(NamedTuple):
+    """Read-only arrays of a search over N channels of n Kraus operators.
 
-    pairs: the channel pairs (t, s), t < s, in _pair_index order; pair_base:
-    the flat offset k n n of pair k in plus and minus; radix: the place
-    values of (i_0, ..., i_{N-1}) in col; perms: the n! permutations in
-    lexicographic order, perms[0] the identity; place: the place values of
-    a tuple's position in base n!, last channel fastest (one past the
-    largest intp is stored as it: every intp position has digit 0 there).
+    pairs: the channel pairs (t, s), t < s, in _pair_index order; perms:
+    the n! permutations in lexicographic order, perms[0] the identity;
+    place: the place values of a tuple's position in base n!, last channel
+    fastest (one past the largest intp is stored as it: every intp position
+    has digit 0 there).
     """
 
     pairs: np.ndarray
-    pair_base: np.ndarray
-    radix: np.ndarray
     perms: np.ndarray
     place: np.ndarray
-
-    @functools.cached_property
-    def whole(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
-        """Every tuple of the search as one chunk, and its _gather_positions.
-
-        The groups of a stacked search and repeated searches of the shape
-        reuse them. They are kept only up to WHOLE_SEARCH_CACHE_ITEMS index
-        entries (None above), so the 8 cached shapes hold at most 8 * 2^15
-        intp (2 MiB) of them.
-        """
-        big_n, n = len(self.radix), self.perms.shape[1]
-        count = len(self.perms) ** (big_n - 1)
-        if count * n * (big_n + len(self.pairs) + 1) > WHOLE_SEARCH_CACHE_ITEMS:
-            return None
-        idx = _tuples_at(np.arange(count), big_n, n)
-        positions = _gather_positions(idx)
-        for arr in (idx, *positions):
-            arr.flags.writeable = False
-        return idx, positions
 
 
 @functools.lru_cache(maxsize=8)
 def _shape(big_n: int, n: int) -> _Shape:
-    pairs = np.array(_pair_index(big_n), dtype=np.intp)
-    top = int(np.iinfo(np.intp).max)
+    f, top = math.factorial(n), int(np.iinfo(np.intp).max)
     shape = _Shape(
-        pairs=pairs,
-        pair_base=np.arange(len(pairs), dtype=np.intp)[:, None] * n * n,
-        radix=n ** np.arange(big_n - 1, -1, -1, dtype=np.intp),
+        pairs=np.array(_pair_index(big_n), dtype=np.intp),
         perms=np.array(list(itertools.permutations(range(n))), dtype=np.intp),
-        place=np.array(
-            [min(math.factorial(n) ** k, top) for k in range(big_n - 1, -1, -1)], dtype=np.intp
-        ),
+        place=np.array([min(f**k, top) for k in range(big_n - 1, -1, -1)], dtype=np.intp),
     )
-    for arr in vars(shape).values():
+    for arr in shape:
         arr.flags.writeable = False
     return shape
-
-
-def _scalar_square(values: np.ndarray) -> np.ndarray:
-    """Elementwise ``v ** 2`` as a numpy float64 scalar computes it.
-
-    The scalar operator calls the C library's pow, as float_power does
-    element by element; v * v (``array ** 2``) rounds otherwise on about 1
-    value in 1000, and power with an array exponent on others.
-    """
-    return np.float_power(values, 2.0)
 
 
 @dataclass(frozen=True)
@@ -301,9 +269,11 @@ class _KTables:
     in C order. Each operand is built as a per-tuple evaluation builds it
     (``et + es``, ``et - es``, channels added left to right as ``sum()``
     does), so each entry is skew_with_cache of its operand (see skew_batch
-    for the BLAS kernels this holds on). A stacked cache puts a state axis
-    in front. The test suite's norm-inequality check fills the same fields
-    with squared vector norms (col = [||sum u_t||^2]).
+    for the BLAS kernels this holds on). Each entry is K, a sum of squares
+    (see skew_batch) and never negative, so its root is plain. A stacked
+    cache puts a state axis in front. The test suite's norm-inequality
+    check fills the same fields with squared vector norms
+    (col = [||sum u_t||^2]).
     """
 
     kraus: np.ndarray
@@ -311,23 +281,13 @@ class _KTables:
     minus: np.ndarray
     col: np.ndarray
 
-    @functools.cached_property
-    def terms(self) -> np.ndarray:
-        """(4S, P n n): the plus rows, the minus rows, then their square roots.
 
-        The roots are taken once per table. Each entry is K, a sum of
-        squares (see skew_batch) and never negative, so its root is plain.
-        """
-        both = np.stack((self.plus, self.minus)).reshape(-1, self.plus.shape[-1])
-        return np.concatenate((both, np.sqrt(both)))
-
-
-def _column_sums(ops: np.ndarray, radix: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _column_sums(ops: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """sum_t E^t_{i_t} for the col positions lo..hi-1, channels added in order."""
-    grid = np.arange(lo, hi, dtype=np.intp)[:, None] // radix % ops.shape[1]
-    acc = ops[0, grid[:, 0]]
+    kraus = np.unravel_index(np.arange(lo, hi), (ops.shape[1],) * len(ops))
+    acc = ops[0, kraus[0]]
     for t in range(1, len(ops)):
-        acc += ops[t, grid[:, t]]
+        acc += ops[t, kraus[t]]
     return acc
 
 
@@ -343,13 +303,13 @@ def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _K
     """
     ops = np.array(kraus)
     big_n, n, d = ops.shape[:3]
-    shape = _shape(big_n, n)
+    pairs = _shape(big_n, n).pairs
     m = big_n * n
-    p = len(shape.pairs) * n * n
+    p = len(pairs) * n * n
     head = np.empty((m + 2 * p, d, d), dtype=ops.dtype)
     head[:m] = ops.reshape(m, d, d)
-    left = ops[shape.pairs[:, 0]][:, :, None]
-    right = ops[shape.pairs[:, 1]][:, None]
+    left = ops[pairs[:, 0]][:, :, None]
+    right = ops[pairs[:, 1]][:, None]
     np.add(left, right, out=head[m : m + p].reshape(-1, n, n, d, d))
     np.subtract(left, right, out=head[m + p :].reshape(-1, n, n, d, d))
     k = np.empty(cache.w.shape[:-2] + (len(head) + n**big_n,))
@@ -358,7 +318,7 @@ def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _K
         hi = min(lo + rows, k.shape[-1])
         part = head[lo:hi]
         if hi > len(head):
-            cols = _column_sums(ops, shape.radix, max(lo - len(head), 0), hi - len(head))
+            cols = _column_sums(ops, max(lo - len(head), 0), hi - len(head))
             part = np.concatenate((part, cols))
         k[..., lo:hi] = skew_batch(cache, part)
     return _KTables(
@@ -369,54 +329,105 @@ def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _K
     )
 
 
-def _gather_positions(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where _score_chunk reads the terms of the tuples ``idx`` (C, N, n).
+# a block: per channel t, its permutation digits lo_t..hi_t-1 as (lo_t, hi_t)
+_Block = tuple[tuple[int, int], ...]
 
-    flat (P n, C): row p n + i holds the position in plus and minus of pair
-    p's terms at Kraus index i; col (n, C): the position in col of index i.
+
+@functools.lru_cache(maxsize=8)
+def _blocks(big_n: int, n: int, limit: int) -> tuple[tuple[int, _Block], ...]:
+    """A search's blocks of at most ``limit`` >= 1 tuples, in lexicographic order.
+
+    A block's tuples in C order are consecutive in the search, the first
+    at the position given with the block. Channel 0 takes the identity
+    only; the trailing channels are taken whole while their product fits
+    ``limit``, the channel before them in runs of limit // (that product)
+    digits, and every earlier channel one digit at a time.
     """
-    chunk, big_n, n = idx.shape
-    shape = _shape(big_n, n)
-    kraus = np.ascontiguousarray(idx.transpose(1, 2, 0))  # (N, n, C)
-    flat = shape.pair_base[:, :, None] + kraus[shape.pairs[:, 0]] * n + kraus[shape.pairs[:, 1]]
-    col = (shape.radix @ kraus.reshape(big_n, -1)).reshape(n, chunk)
-    return flat.reshape(-1, chunk), col
+    sizes = (1,) + (math.factorial(n),) * (big_n - 1)  # digits per channel
+    cut, tail = big_n, 1  # channels cut.. are taken whole: tail tuples
+    while cut > 1 and tail * sizes[cut - 1] <= limit:
+        cut, tail = cut - 1, tail * sizes[cut - 1]
+    whole = tuple((0, size) for size in sizes[cut:])
+    out, first, run = [], 0, limit // tail
+    for prefix in itertools.product(*map(range, sizes[: cut - 1])):
+        for lo in range(0, sizes[cut - 1], run):
+            hi = min(lo + run, sizes[cut - 1])
+            out.append((first, tuple((d, d + 1) for d in prefix) + ((lo, hi),) + whole))
+            first += (hi - lo) * tail
+    return tuple(out)
 
 
-def _score_chunk(
-    tables: _KTables, idx: np.ndarray, variants: tuple[int, ...], positions: tuple | None = None
-) -> dict[str, np.ndarray]:
-    """Bound values of a chunk of tuples, in the order a search offers them.
+class _Grid(NamedTuple):
+    """Read-only index arrays that score one block of a search (_score_grid).
 
-    ``idx`` holds the Kraus indices, idx[c, t, i] = perms[t][i] of tuple c,
-    and ``positions`` their _gather_positions (gathered here if None).
-    Tables of S states score every state on every tuple, in S * C rows
-    state by state: lb1/ob1 (N > 2 only) and lb2/ob2 one value per row,
-    lb3/ob3 (rows, len(variants)). The terms are gathered term-major, one
-    row per (pair, Kraus index) and one column per (state, tuple). Every
-    sum adds its terms one after another (_in_order_sum): the P n terms of
-    total pair by pair, n within a pair, the P lb roots, the ob roots over
-    P, the n ob squares and the n col entries. The per-tuple formulas run
-    in the same operation order; each bound is one elementwise expression
-    for both families (lb, ob) and every sign variant.
+    positions (n, Q): the positions in plus and minus of the pairs' terms,
+    one row per Kraus index; pair k takes the columns pairs[k][0], one per
+    (digit t, digit s) of the block in C order, and pairs[k][1] is the
+    shape that places its table on the block's digit grid ``dims``. kraus
+    holds, per channel t, the Kraus index of each of its digits, as an
+    (n, 1, ..., dims[t], ..., 1) array.
     """
-    chunk, big_n, n = idx.shape
-    flat, col_idx = positions or _gather_positions(idx)
-    gathered = tables.terms.take(flat, axis=1).swapaxes(0, 1)  # (P n, 4S, C)
-    rows = gathered.shape[1] // 2  # 2S: the plus rows, then the minus rows
-    k = gathered[:, :rows]
-    by_pair = (len(flat) // n, n, rows, chunk)
+
+    positions: np.ndarray
+    pairs: tuple[tuple[slice, tuple[int, ...]], ...]
+    kraus: tuple[np.ndarray, ...]
+    dims: tuple[int, ...]
+
+
+# A grid holds n (Q + sum_t dims[t]) intp. Under the default tuple cap and
+# SEARCH_CHUNK the largest is 458 KB (N = 2, n = 7, runs of 4,096 digits),
+# so the 4 cached grids retain at most 1.8 MiB; a bench workload reads 2.
+@functools.lru_cache(maxsize=4)
+def _grid(big_n: int, n: int, block: _Block) -> _Grid:
+    perms = _shape(big_n, n).perms.T  # (n, n!): the Kraus indices of each digit
+    kraus = tuple(perms[:, digits] for digits in np.ix_(*(range(lo, hi) for lo, hi in block)))
+    terms = [(k * n + kraus[t]) * n + kraus[s] for k, (t, s) in enumerate(_pair_index(big_n))]
+    ends = np.cumsum([at[0].size for at in terms]).tolist()
+    positions = np.concatenate([at.reshape(n, -1) for at in terms], axis=1)
+    pairs = tuple((slice(end - at[0].size, end), at.shape[1:]) for end, at in zip(ends, terms))
+    grid = _Grid(positions, pairs, kraus, tuple(hi - lo for lo, hi in block))
+    for arr in (positions, *kraus):
+        arr.flags.writeable = False
+    return grid
+
+
+def _score_grid(tables: _KTables, grid: _Grid, variants: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """Bound values of a block of tuples, in the order a search offers them.
+
+    Tables of S states score every state on every tuple of the block, in
+    S * C rows state by state: lb1/ob1 (N > 2 only) and lb2/ob2 one value
+    per row, lb3/ob3 (rows, len(variants)). A pair's terms depend on a
+    tuple only through the pair's two digits, so they are gathered, added
+    and rooted once per (digit t, digit s), and the P pair tables are then
+    added on the block by broadcasting. Every sum adds its terms one after
+    another: the n terms of each pair, total as the P pair sums, the P lb
+    roots, the ob roots over P, the n ob squares and the n col entries.
+    Squares are v * v. The per-tuple formulas run in the same operation
+    order; each bound is one elementwise expression for both families
+    (lb, ob) and every sign variant.
+    """
+    big_n, n = len(grid.dims), len(grid.positions)
+    rows = np.stack((tables.plus, tables.minus)).reshape(-1, tables.plus.shape[-1])
+    # per pair column: its sum, the sum's root, then the roots of its n
+    # terms, each over the plus rows, then the minus rows
+    pair = np.empty((n + 2, len(rows), grid.positions.shape[1]))
+    rows.take(grid.positions, axis=1, out=pair[2:].swapaxes(0, 1))
+    pair[0] = _in_order_sum(pair[2:])
+    np.sqrt(pair[:1], out=pair[1:2])
+    np.sqrt(pair[2:], out=pair[2:])
+    parts = [pair[..., span].reshape(pair.shape[:2] + place) for span, place in grid.pairs]
+    block = np.add(parts[0], 0.0, out=np.empty(pair.shape[:2] + grid.dims))
+    for part in parts[1:]:
+        block += part  # the pairs in order
+    block[1:] *= block[1:]  # the squares: of the lb root sum, of each ob root
+    block[2] = _in_order_sum(block[2:])  # the ob spread: the n squares in order
     # row 0 of total and of each spread holds the plus terms, row 1 the minus
-    total = _in_order_sum(k).reshape(2, -1)
-    inner = _in_order_sum(k.reshape(by_pair).swapaxes(0, 1))  # (P, 2S, C)
-    lb_spread = _scalar_square(_in_order_sum(np.sqrt(inner))).reshape(2, -1)
-    ob_roots = _in_order_sum(gathered[:, rows:].reshape(by_pair))  # (n, 2S, C)
-    # (lb, ob) by (plus, minus) by row
-    spread = np.stack((lb_spread, _in_order_sum(ob_roots**2).reshape(2, -1)))
+    total = block[0].reshape(2, -1)
+    spread = block[1:3].reshape(2, 2, -1)  # (lb, ob) by (plus, minus) by row
     out = {}
     if big_n > 2:
         out.update(zip(("lb1", "ob1"), (total[0] - spread[:, 0] / (big_n - 1) ** 2) / (big_n - 2)))
-    col = tables.col.reshape(-1, tables.col.shape[-1]).take(col_idx, axis=1)  # (S, n, C)
+    col = tables.col.reshape((-1,) + (n,) * big_n)[(slice(None),) + grid.kraus]  # (S, n, block)
     mean = _in_order_sum(col.swapaxes(0, 1)).reshape(-1) / big_n
     out.update(zip(("lb2", "ob2"), mean + 2.0 * spread[:, 1] / (big_n**2 * (big_n - 1))))
     # variant x: total[x] plain and spread[1 - x] under the roots, so variant
@@ -437,7 +448,8 @@ def tuple_bound_values(
     Diagnostic surface used by the dominance and invariance tests; keys
     lb3/ob3 appear per sign variant as lb3_x0, lb3_x1, ob3_x0, ob3_x1.
     lb1/ob1 are None when N = 2. ``perms`` holds one permutation of
-    range(n) per channel, n being the longest Kraus list.
+    range(n) per channel, n being the longest Kraus list. It is scored as
+    the block of one digit per channel.
     """
     kraus = _padded_kraus(channels)
     n = len(kraus[0])
@@ -446,8 +458,9 @@ def tuple_bound_values(
     for t, perm in enumerate(perms):
         if sorted(perm) != list(range(n)):
             raise ValueError(f"perms[{t}] = {perm!r} is not a permutation of range({n})")
-    idx = np.array(perms, dtype=np.intp)[None]
-    scored = _score_chunk(_k_tables(cache, kraus), idx, (0, 1))
+    digits = map(_shape(len(kraus), n).perms.tolist().index, map(list, perms))
+    grid = _grid(len(kraus), n, tuple((d, d + 1) for d in digits))
+    scored = _score_grid(_k_tables(cache, kraus), grid, (0, 1))
     flat = ("lb1", "ob1", "lb2", "ob2")
     values = {name: float(scored[name][0]) if name in scored else None for name in flat}
     values.update({f"{n}_x{x}": float(scored[n][0, x]) for n in ("lb3", "ob3") for x in (0, 1)})
@@ -464,7 +477,7 @@ def _tuples_at(ids: np.ndarray, big_n: int, n: int) -> np.ndarray:
 
 
 def _offers(scored: dict[str, np.ndarray], states: int, width: int) -> np.ndarray:
-    """Every bound's offers in one scored chunk, one row per (bound, state).
+    """Every bound's offers in one scored block, one row per (bound, state).
 
     A state offers its values tuple by tuple, ``width`` slots per tuple
     (one per sign variant). A bound without variants fills the first slot
@@ -483,7 +496,7 @@ def _offer(
     """Each row's best (value, offer position) after offering ``rows``.
 
     rows[:, 0] is offer position ``first``; ``best`` (None at first) is
-    offered again ahead of the chunk. The best is the first maximum, so
+    offered again ahead of the block. The best is the first maximum, so
     only a strictly larger value replaces it: exact ties and the two
     signed zeros keep the earlier offer.
     """
@@ -509,9 +522,9 @@ def _search_bounds(
     ``kraus`` holds N equally long Kraus lists; the tuple count is checked
     against ``cap`` before any K is evaluated. A group of at most
     SEARCH_CHUNK // (count d^2) states (at least one) shares W, T and K
-    tables, scored in chunks of at most SEARCH_CHUNK (state, tuple) rows in
+    tables, scored in _blocks of at most SEARCH_CHUNK (state, tuple) rows in
     lexicographic order: the result is bit-identical to evaluating every
-    tuple of every state on its own, ties included.
+    tuple of every state on its own by the same formulas, ties included.
     """
     big_n, n, dim = len(kraus), len(kraus[0]), len(kraus[0][0])
     if sign_variant not in (None, 0, 1):
@@ -526,19 +539,15 @@ def _search_bounds(
     pos = np.empty((len(names), len(lams)), dtype=np.intp)  # offer positions
     k = np.empty((big_n * n, len(lams)))  # K of the Kraus operators, one row each
     group = max(1, SEARCH_CHUNK // (count * dim * dim))
-    step = min(count, SEARCH_CHUNK)
-    whole = _shape(big_n, n).whole if step == count else None
     for g in range(0, len(lams), group):
         part = slice(g, g + group)
         cache = weighted_ops(EigenDecomposition(lams[part], vecs[part]), params)
         tables = _k_tables(cache, kraus)
         size = len(tables.kraus)
         best = None  # (value, offer position) per (bound, state) row
-        for lo in range(0, count, step):
-            ids = np.arange(lo, min(lo + step, count))
-            idx, positions = whole or (_tuples_at(ids, big_n, n), None)
-            offers = _offers(_score_chunk(tables, idx, variants, positions), size, len(variants))
-            best = _offer(best, offers, lo * len(variants))
+        for first, block in _blocks(big_n, n, SEARCH_CHUNK // size):
+            scored = _score_grid(tables, _grid(big_n, n, block), variants)
+            best = _offer(best, _offers(scored, size, len(variants)), first * len(variants))
         values[:, part] = best[0].reshape(len(names), size)
         pos[:, part] = best[1].reshape(len(names), size)
         k[:, part] = tables.kraus.T

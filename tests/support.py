@@ -4,7 +4,7 @@ The skew-information oracles are deliberately built on numpy.linalg
 (eigh, qr, norm) directly instead of the package's cache machinery, so
 the comparisons in the tests are genuine dual-route checks. The search
 oracle evaluates every permutation tuple on its own, one K per operand,
-and is the reference the chunked table search must match bit for bit;
+and is the reference the block-scored table search must match bit for bit;
 the unitary oracle evaluates the sum, the three unitary bounds and lb3's
 sign variant from their own formulas, and the report of the one-Kraus
 channels must match them bit for bit (unitary_fields). Both share the
@@ -27,9 +27,10 @@ from chanskew.bounds import (
     BoundArgmax,
     BoundReport,
     _KTables,
+    _grid,
     _pair_index,
     _padded_kraus,
-    _score_chunk,
+    _score_grid,
     enumerate_tuples,
 )
 from chanskew.cmatrix import EigenDecomposition
@@ -45,11 +46,17 @@ def in_order_sum(values):
 
 
 def eigh_power(mat: np.ndarray, p: float) -> np.ndarray:
-    """Fractional PSD power via numpy.linalg.eigh; p = 0 gives the identity."""
+    """Fractional PSD power via numpy.linalg.eigh; p = 0 gives the identity.
+
+    Eigenvalues at or below d * eps * max|lambda| are exact zeros: a zero
+    eigenvalue computed as a residue of 1e-17 would otherwise give
+    (1e-17)^0.1 = 0.02, not 0.
+    """
     if p == 0.0:
         return np.eye(mat.shape[0], dtype=np.complex128)
     lam, v = np.linalg.eigh(mat)
-    lam = np.clip(lam, 0.0, None)
+    cutoff = len(lam) * np.finfo(np.float64).eps * np.abs(lam).max()
+    lam = np.where(lam <= cutoff, 0.0, lam)
     return (v * lam**p) @ v.conj().T
 
 
@@ -192,35 +199,55 @@ def pair_sums(terms):
     return in_order_sum(terms.T)
 
 
+def square(v):
+    """v * v: every square of the bound formulas, scalar or array, is a product."""
+    return v * v
+
+
+def lb_spread(terms):
+    """(sum over pairs of the root of the pair's sum)^2."""
+    return square(in_order_sum(np.sqrt(pair_sums(terms))))
+
+
+def ob_spread(terms):
+    """sum over Kraus indices of (sum over pairs of the term's root)^2."""
+    return in_order_sum(square(in_order_sum(np.sqrt(terms))))
+
+
+def total_value(terms):
+    """The sum of every term, as the in-order sum of the pair sums."""
+    return in_order_sum(pair_sums(terms))
+
+
 def lb1_value(plus, big_n):
-    deficit = in_order_sum(np.sqrt(pair_sums(plus))) ** 2 / (big_n - 1) ** 2
-    return float(in_order_sum(plus.ravel()) - deficit) / (big_n - 2)
+    deficit = lb_spread(plus) / (big_n - 1) ** 2
+    return float(total_value(plus) - deficit) / (big_n - 2)
 
 
 def ob1_value(plus, big_n):
-    deficit = in_order_sum(in_order_sum(np.sqrt(plus)) ** 2) / (big_n - 1) ** 2
-    return float(in_order_sum(plus.ravel()) - deficit) / (big_n - 2)
+    deficit = ob_spread(plus) / (big_n - 1) ** 2
+    return float(total_value(plus) - deficit) / (big_n - 2)
 
 
 def lb2_value(col, minus, big_n):
-    spread = in_order_sum(np.sqrt(pair_sums(minus))) ** 2
+    spread = lb_spread(minus)
     return float(in_order_sum(col) / big_n + 2.0 * spread / (big_n**2 * (big_n - 1)))
 
 
 def ob2_value(col, minus, big_n):
-    spread = in_order_sum(in_order_sum(np.sqrt(minus)) ** 2)
+    spread = ob_spread(minus)
     return float(in_order_sum(col) / big_n + 2.0 * spread / (big_n**2 * (big_n - 1)))
 
 
 def lb3_value(plain, root, big_n):
-    spread = in_order_sum(np.sqrt(pair_sums(root))) ** 2
-    total = in_order_sum(plain.ravel())
+    spread = lb_spread(root)
+    total = total_value(plain)
     return float(total + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
 
 
 def ob3_value(plain, root, big_n):
-    spread = in_order_sum(in_order_sum(np.sqrt(root)) ** 2)
-    total = in_order_sum(plain.ravel())
+    spread = ob_spread(root)
+    total = total_value(plain)
     return float(total + 2.0 * spread / (big_n * (big_n - 1))) / (2.0 * (big_n - 1))
 
 
@@ -312,13 +339,13 @@ def unitary_terms(cache, mats):
 
 
 def unitary_lb1_value(kp, big_n):
-    deficit = in_order_sum(np.sqrt(kp)) ** 2 / (big_n - 1) ** 2
+    deficit = square(in_order_sum(np.sqrt(kp))) / (big_n - 1) ** 2
     return float(in_order_sum(kp) - deficit) / (big_n - 2)
 
 
 def unitary_lb2_value(cache, mats, km, big_n):
     mean_term = skew_with_cache(cache, sum(mats)) / big_n
-    return float(mean_term + 2.0 * in_order_sum(np.sqrt(km)) ** 2 / (big_n**2 * (big_n - 1)))
+    return float(mean_term + 2.0 * square(in_order_sum(np.sqrt(km))) / (big_n**2 * (big_n - 1)))
 
 
 def unitary_lb3_value(kp, km, big_n):
@@ -326,7 +353,7 @@ def unitary_lb3_value(kp, km, big_n):
     best_value, best_x = -np.inf, 0
     for x, (plain, root) in enumerate([(kp, km), (km, kp)]):
         value = float(
-            in_order_sum(plain) + 2.0 * in_order_sum(np.sqrt(root)) ** 2 / (big_n * (big_n - 1))
+            in_order_sum(plain) + 2.0 * square(in_order_sum(np.sqrt(root))) / (big_n * (big_n - 1))
         ) / (2.0 * (big_n - 1))
         if value > best_value:
             best_value, best_x = value, x
@@ -393,7 +420,7 @@ def norm_inequality_check(vectors, slack: float = 1e-9) -> tuple[bool | None, bo
         col=np.array([nsq(sum(us))]),
     )
     # the vectors are one-Kraus "channels": the single tuple, both variants
-    scored = _score_chunk(tables, np.zeros((1, big_n, 1), dtype=np.intp), (0, 1))
+    scored = _score_grid(tables, _grid(big_n, 1, ((0, 1),) * big_n), (0, 1))
     lhs = in_order_sum(tables.kraus.tolist()) + slack
     holds1 = bool(lhs >= scored["lb1"][0]) if big_n > 2 else None
     return holds1, bool(lhs >= scored["lb2"][0]), bool(np.all(lhs >= scored["lb3"]))

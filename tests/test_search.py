@@ -1,4 +1,4 @@
-"""The chunked table search against the oracles in support.py.
+"""The block-scored table search against the oracles in support.py.
 
 Equality here is exact (==): the search must reproduce, bit for bit, the
 values and argmax tuples of evaluating every tuple on its own, and, run on
@@ -22,7 +22,15 @@ from chanskew.bounds import (
     unitary_bound_report,
 )
 from chanskew.quantum import KrausChannel
-from chanskew.repro import DEFAULT_PARAMS, eighth_turn_unitaries, planar_bloch_state
+from chanskew.repro import (
+    DEFAULT_PARAMS,
+    DEFAULT_SWEEP_STEPS,
+    UNITARY_BLOCH_RADIUS,
+    SweepConfig,
+    eighth_turn_unitaries,
+    planar_bloch_state,
+    unitary_sweep,
+)
 from chanskew.skewinfo import skew_info_channel, weighted_ops
 
 import support
@@ -74,7 +82,7 @@ def configs(seed, count):
 
 @pytest.mark.parametrize("chunk", [None, 3, 7])
 def test_report_is_bit_identical_to_per_tuple_oracle(monkeypatch, chunk):
-    # chunks of 3 and 7 make the running argmax carry across boundaries
+    # blocks of 3 and 7 make the running argmax carry across boundaries
     if chunk is not None:
         monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
     for label, (rho, channels, params) in configs(seed=11, count=25):
@@ -103,7 +111,7 @@ def batch_cases():
 @pytest.mark.parametrize("chunk", [None, 3, 7, 40])
 def test_batch_is_bit_identical_to_per_state_oracle(monkeypatch, chunk):
     # a group holds SEARCH_CHUNK // (count d^2) states: a chunk of 3 or 7
-    # rows scores one state at a time, in chunks of its tuples, and one of
+    # rows scores one state at a time, in blocks of its tuples, and one of
     # 40 splits the small-d batches into groups of several states
     if chunk is not None:
         monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
@@ -159,9 +167,11 @@ def test_every_scored_value_matches_oracle_formulas(monkeypatch, rng, dim, count
     rho, channels, params = random_config(rng, dim, counts)
     cache = weighted_ops(rho.spectrum, params)
     kraus = bounds._padded_kraus(channels)
+    big_n, n = len(kraus), len(kraus[0])
     tables = bounds._k_tables(cache, kraus)
-    tuples = list(enumerate_tuples(len(kraus[0]), len(kraus)))
-    scored = bounds._score_chunk(tables, np.array(tuples), (0, 1))
+    tuples = list(enumerate_tuples(n, big_n))
+    whole = ((0, 1),) + ((0, math.factorial(n)),) * (big_n - 1)  # the search as one block
+    scored = bounds._score_grid(tables, bounds._grid(big_n, n, whole), (0, 1))
     for c, perms in enumerate(tuples):
         want = oracle_tuple_values(cache, channels, perms)
         got = {name: scored[name][c] for name in ("lb1", "ob1", "lb2", "ob2")}
@@ -244,21 +254,28 @@ def test_all_ties_keep_the_identity_tuple(monkeypatch, rng, chunk):
         assert argmax.perms == identity, name
 
 
-def test_chunks_cover_every_tuple_once(monkeypatch, rng):
-    seen = []
-    score = bounds._score_chunk
+def grid_tuples(grid):
+    """The tuples a block's grid scores, in the order of its rows."""
+    perms = [k.reshape(len(k), -1).T.tolist() for k in grid.kraus]  # per channel, its digits
+    return [tuple(map(tuple, tup)) for tup in itertools.product(*perms)]
 
-    def recording(tables, idx, variants, positions=None):
-        seen.append(idx.copy())
-        return score(tables, idx, variants, positions)
+
+def test_chunks_cover_every_tuple_once(monkeypatch, rng):
+    # blocks of at most 5 tuples: channel 2's six digits in runs of 5 and 1,
+    # one block per digit of channel 1
+    seen = []
+    score = bounds._score_grid
+
+    def recording(tables, grid, variants):
+        seen.append(grid_tuples(grid))
+        return score(tables, grid, variants)
 
     monkeypatch.setattr(bounds, "SEARCH_CHUNK", 5)
-    monkeypatch.setattr(bounds, "_score_chunk", recording)
+    monkeypatch.setattr(bounds, "_score_grid", recording)
     rho, channels, params = random_config(rng, 2, (3, 3, 2))
     channel_bound_report(rho, channels, params)
-    assert all(len(idx) <= 5 for idx in seen)
-    scored = [tuple(map(tuple, perms)) for idx in seen for perms in idx.tolist()]
-    assert scored == list(enumerate_tuples(3, 3))
+    assert [len(block) for block in seen] == [5, 1] * 6
+    assert [perms for block in seen for perms in block] == list(enumerate_tuples(3, 3))
 
 
 def test_tuples_at_decodes_every_position_an_intp_holds():
@@ -334,26 +351,6 @@ def test_offers_keep_each_bounds_own_rule(rng):
                     assert (top[j * states + s], pos[j * states + s]) == (value, at), name
 
 
-def test_scalar_square_matches_numpy_scalar_power():
-    # the per-tuple formulas square numpy float64 scalars; that calls the C
-    # library's pow, which rounds differently from v * v on some inputs
-    values = np.random.default_rng(13).random(20000) * 10.0
-    want = [np.float64(v) ** 2 for v in values]
-    assert bounds._scalar_square(values).tolist() == want
-
-
-def test_scalar_square_matches_numpy_scalar_power_across_magnitudes():
-    # zero, subnormals, squares that underflow or overflow, and random decades
-    rng = np.random.default_rng(29)
-    tiny = np.finfo(np.float64).smallest_subnormal
-    edges = [0.0, tiny, 3 * tiny, 2.2e-308, 1e-300, 1e-160, 1e154, 1e300, 1.7e308]
-    decades = rng.random(20000) * 10.0 ** rng.integers(-170, 160, size=20000)
-    values = np.concatenate((edges, decades))
-    with np.errstate(over="ignore", under="ignore"):
-        want = [np.float64(v) ** 2 for v in values]
-        assert bounds._scalar_square(values).tolist() == want
-
-
 def synthetic_tables(rng, big_n, n, states=None):
     """K tables of random values over twelve decades, where the order of a sum
     shows in its last bits; ``states`` puts a state axis in front."""
@@ -372,9 +369,12 @@ def state_tables(tables, s):
     return bounds._KTables(*(getattr(tables, f)[s] for f in ("kraus", "plus", "minus", "col")))
 
 
-def assert_scored_match_oracle(tables, tuples, states=None):
-    big_n = len(tuples[0])
-    scored = bounds._score_chunk(tables, np.array(tuples), (0, 1))
+def assert_scored_match_oracle(tables, block, states=None):
+    big_n = len(block)
+    n = tables.kraus.shape[-1] // big_n
+    grid = bounds._grid(big_n, n, block)
+    tuples = grid_tuples(grid)
+    scored = bounds._score_grid(tables, grid, (0, 1))
     for s in range(states or 1):
         one = tables if states is None else state_tables(tables, s)
         for c, perms in enumerate(tuples):
@@ -397,22 +397,22 @@ def assert_scored_match_oracle(tables, tuples, states=None):
     ],
 )
 def test_score_chunk_adds_in_order(big_n, n, states):
-    # every sum adds its terms one after another; tuples from a chunk that
-    # starts inside a permutation block, and from random positions;
-    # synthetic tables make the order of every sum show
+    # every sum of _score_grid adds its terms one after another; blocks of
+    # runs of up to 3 digits per channel from random digits (channel 0's
+    # included), and of one random digit per channel; synthetic tables make
+    # the order of every sum show
     rng = np.random.default_rng(100 * big_n + n)
     tables = synthetic_tables(rng, big_n, n, states)
-    count = math.factorial(n) ** (big_n - 1)
-    lo = min(count - 1, 5)
-    drawn = rng.integers(0, min(count, np.iinfo(np.intp).max), size=4)
-    ids = np.concatenate((np.arange(lo, min(count, lo + 4)), drawn))
-    tuples = [tuple(map(tuple, perms)) for perms in bounds._tuples_at(ids, big_n, n).tolist()]
-    assert_scored_match_oracle(tables, tuples, states)
+    f = math.factorial(n)
+    for width in (3, 3, 1, 1):
+        los = rng.integers(0, f, size=big_n).tolist()
+        assert_scored_match_oracle(tables, tuple((lo, min(lo + width, f)) for lo in los), states)
 
 
 def test_stacked_search_with_chunks_inside_permutations_matches_oracle(monkeypatch, rng):
-    # N = 5 two-Kraus channels (P = 10, n = 2): 16 tuples in chunks of 5, so
-    # boundaries fall inside the last channel's block of two permutations
+    # N = 5 two-Kraus channels (P = 10, n = 2): 16 tuples in blocks of at
+    # most 5, so channels 3 and 4 are taken whole and the leading channels
+    # one digit at a time: four blocks of 4 tuples
     monkeypatch.setattr(bounds, "SEARCH_CHUNK", 5)
     rho, channels, params = random_config(rng, 2, (2, 2, 2, 2, 2))
     states = [rho] + [random_density(rng, 2) for _ in range(2)]
@@ -422,32 +422,41 @@ def test_stacked_search_with_chunks_inside_permutations_matches_oracle(monkeypat
     assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
 
 
-def test_shape_caches_its_whole_search_up_to_the_item_bound(monkeypatch, rng):
-    # N = 4 channels of n = 3: 216 tuples, 216 * 3 * (4 + 6 + 1) index entries
-    items = 216 * 3 * 11
-    assert items <= bounds.WHOLE_SEARCH_CACHE_ITEMS
-    bounds._shape.cache_clear()
-    idx, positions = bounds._shape(4, 3).whole
-    assert idx.tolist() == [list(map(list, perms)) for perms in enumerate_tuples(3, 4)]
-    fresh = bounds._gather_positions(idx.copy())
-    assert all(np.array_equal(got, want) for got, want in zip(positions, fresh))
-    assert not any(arr.flags.writeable for arr in (idx, *positions))
-    tables = synthetic_tables(np.random.default_rng(37), 4, 3)
-    cached = bounds._score_chunk(tables, idx, (0, 1), positions)
-    rho, channels, params = random_config(rng, 2, (3, 3, 3, 3))
-    want = channel_bound_report(rho, channels, params, sign_variant=None)
-    # one entry fewer and the shape caches no search: each search gathers
-    # its own positions, with the same bits
-    monkeypatch.setattr(bounds, "WHOLE_SEARCH_CACHE_ITEMS", items - 1)
-    bounds._shape.cache_clear()
-    try:
-        assert bounds._shape(4, 3).whole is None
-        plain = bounds._score_chunk(tables, idx.copy(), (0, 1))
-        assert all(cached[name].tolist() == plain[name].tolist() for name in plain)
-        got = channel_bound_report(rho, channels, params, sign_variant=None)
-        assert got.to_json_dict() == want.to_json_dict()
-    finally:
-        bounds._shape.cache_clear()
+@pytest.mark.parametrize(
+    "big_n,n,block",
+    [
+        (4, 3, ((0, 1), (2, 4), (0, 6), (0, 6))),
+        (3, 4, ((5, 6), (23, 24), (3, 10))),
+        (5, 2, ((0, 2),) * 5),
+        (3, 1, ((0, 1),) * 3),
+    ],
+)
+def test_grid_positions_are_the_terms_table_terms_reads(big_n, n, block):
+    # tables whose entries are their own positions: the grid must place at
+    # each tuple of the block the plus, minus and col positions that
+    # support.table_terms reads for that tuple, and keep them read-only
+    pair_terms = big_n * (big_n - 1) // 2 * n * n
+    tables = bounds._KTables(
+        kraus=np.zeros(big_n * n),
+        plus=np.arange(pair_terms, dtype=float),
+        minus=np.arange(pair_terms, dtype=float) + pair_terms,
+        col=np.arange(n**big_n, dtype=float),
+    )
+    grid = bounds._grid(big_n, n, block)
+    assert not any(arr.flags.writeable for arr in (grid.positions, *grid.kraus))
+    assert grid.dims == tuple(hi - lo for lo, hi in block)
+    col = tables.col.reshape((n,) * big_n)[grid.kraus].reshape(n, -1)
+    for c, (perms, digits) in enumerate(zip(grid_tuples(grid), np.ndindex(*grid.dims))):
+        plus, minus, want_col = support.table_terms(tables, perms)
+        for k, (t, s) in enumerate(bounds._pair_index(big_n)):
+            span, place = grid.pairs[k]
+            assert place == tuple(grid.dims[u] if u in (t, s) else 1 for u in range(big_n))
+            at = grid.positions[:, span].reshape(n, grid.dims[t], grid.dims[s])[
+                :, digits[t], digits[s]
+            ]
+            assert tables.plus[at].tolist() == plus[k].tolist(), (perms, k)
+            assert tables.minus[at].tolist() == minus[k].tolist(), (perms, k)
+        assert col[:, c].tolist() == want_col.tolist(), perms
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -509,31 +518,51 @@ def test_unitary_batch_is_bit_identical_to_formula_oracle(monkeypatch, chunk):
         assert list(map(unitary_fields, got)) == want
 
 
+def test_one_kraus_reports_have_ob_equal_to_lb():
+    # with one Kraus index each ob sum over it has one term, the totals are
+    # the same pair sums and every square is v * v, so ob1-ob3 of a unitary
+    # report are lb1-lb3 bit for bit: on seeded random stacks and on both
+    # paper unitary sweeps
+    rng = np.random.default_rng(31)
+    columns = []
+    for k in range(300):
+        dim = int(rng.integers(2, 5))
+        unitaries = [random_unitary(rng, dim) for _ in range(int(rng.integers(2, 6)))]
+        states = [random_density(rng, dim) for _ in range(1 + k % 8)]
+        columns.append(unitary_bound_columns(stacked_spectrum(states), unitaries, random_params(rng)))
+    for printed_u3 in (False, True):
+        cfg = SweepConfig(0.0, math.pi, DEFAULT_SWEEP_STEPS, 0.0, DEFAULT_PARAMS, UNITARY_BLOCH_RADIUS)
+        columns.append(unitary_sweep(cfg, printed_u3).columns)
+    for cols in columns:
+        for lb, ob in (("lb1", "ob1"), ("lb2", "ob2"), ("lb3", "ob3")):
+            if lb in cols.values:
+                assert cols.values[ob].tolist() == cols.values[lb].tolist(), lb
+
+
 @pytest.mark.parametrize(
     "chunk,counts",
     [(5, (2, 2, 2)), (40, (2, 2, 2)), (40, (3, 3, 2)), (36, (2, 2)), (16, (1, 1, 1))],
 )
 def test_batch_chunks_hold_at_most_search_chunk_rows(monkeypatch, rng, chunk, counts):
     # a group holds SEARCH_CHUNK // (count d^2) states (at least one), so a
-    # chunk scores at most SEARCH_CHUNK (state, tuple) rows; each group
+    # block scores at most SEARCH_CHUNK (state, tuple) rows; each group
     # scores every tuple once, in order, and each state is in one group
     seen = []
-    score = bounds._score_chunk
+    score = bounds._score_grid
 
-    def recording(tables, idx, variants, positions=None):
-        seen.append((len(tables.col), idx.copy()))
-        return score(tables, idx, variants, positions)
+    def recording(tables, grid, variants):
+        seen.append((len(tables.col), grid_tuples(grid)))
+        return score(tables, grid, variants)
 
     monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
-    monkeypatch.setattr(bounds, "_score_chunk", recording)
+    monkeypatch.setattr(bounds, "_score_grid", recording)
     rho, channels, params = random_config(rng, 2, counts)
     states = [rho] + [random_density(rng, 2) for _ in range(6)]
     channel_bound_columns(stacked_spectrum(states), channels, params)
     tuples = list(enumerate_tuples(max(counts), len(counts)))
     groups = []
-    for size, idx in seen:
-        assert size * len(idx) <= chunk
-        perms = [tuple(map(tuple, p)) for p in idx.tolist()]
+    for size, perms in seen:
+        assert size * len(perms) <= chunk
         if perms[0] == tuples[0]:
             groups.append((size, []))
         assert size == groups[-1][0]

@@ -528,15 +528,17 @@ class TestSingularStates:
 
     # the test oracles also take T's exponent from the sum alpha + beta, so
     # on singular states they agree with the package where the exponent pair
-    # sums to 1. The states are diagonal, so their zero eigenvalues are exact
-    # zeros: the oracles clip only negative residues, where the package also
-    # zeroes positive ones (clamp_psd_eigenvalues)
+    # sums to 1. Diagonal states have exact zero eigenvalues; the eigensolver
+    # gives the zeros of the non-diagonal low-rank states as residues of
+    # either sign, which the oracles zero as the package does: a residue of
+    # 1e-17 to the power 0.1 would be 0.02
     @pytest.mark.parametrize("alpha,beta", [(0.9, 0.1), (0.8, 0.2)])
     def test_oracles_agree_on_singular_states(self, rng, alpha, beta):
         params = SkewParams(alpha, beta, rng.random())
         diagonals = [(1.0, 0.0), (0.7, 0.3, 0.0), (0.5, 0.0, 0.25, 0.25), (0.0, 0.0, 1.0)]
-        for diagonal in diagonals:
-            rho = DensityMatrix(np.diag(diagonal).astype(np.complex128))
+        states = [DensityMatrix(np.diag(diagonal).astype(np.complex128)) for diagonal in diagonals]
+        states += [low_rank_density(rng, dim, rank) for dim in (3, 4) for rank in (1, 2)] * 3
+        for rho in states:
             for _ in range(10):
                 e = random_matrix(rng, rho.dim)
                 got = skew_info_op(rho, e, params)
