@@ -107,15 +107,11 @@ class BoundReport:
 
     def soundness_violations(self) -> list[str]:
         """Empty iff every bound is below the sum and lb2/lb3 dominate ob2/ob3."""
-        out = []
-        for name in self._BOUNDS:
-            value = getattr(self, name)
-            if value is not None and not value <= self.sum + SOUNDNESS_TOL:
-                out.append(f"{name} = {value!r} exceeds sum = {self.sum!r}")
-        for lb, ob in self._DOMINANCE:
-            if not getattr(self, lb) >= getattr(self, ob) - SOUNDNESS_TOL:
-                out.append(f"{lb} = {getattr(self, lb)!r} below {ob} = {getattr(self, ob)!r}")
-        return out
+        values = vars(self)
+        return [
+            f"{b} = {values[b]!r} {'exceeds' if lim == 'sum' else 'below'} {lim} = {values[lim]!r}"
+            for b, lim, failed in _soundness_checks(values) if failed
+        ]
 
     def to_json_dict(self) -> dict:
         data = {name: getattr(self, name) for name in ("sum",) + self._BOUNDS}
@@ -166,13 +162,26 @@ class BoundColumns:
 
     def first_unsound(self) -> int | None:
         """The first state with soundness_violations, by the same comparisons on arrays."""
-        bad = np.zeros(len(self), dtype=bool)
-        for name in BoundReport._BOUNDS:
-            if name in self.values:
-                bad |= ~(self.values[name] <= self.sum + SOUNDNESS_TOL)
-        for lb, ob in BoundReport._DOMINANCE:
-            bad |= ~(self.values[lb] >= self.values[ob] - SOUNDNESS_TOL)
+        checks = _soundness_checks({"sum": self.sum, **self.values})
+        bad = np.logical_or.reduce([failed for _, _, failed in checks])
         return int(bad.argmax()) if bad.any() else None
+
+
+def _soundness_checks(values: dict) -> Iterator[tuple[str, str, np.ndarray | np.bool_]]:
+    """(bound, limit, failed) of each soundness comparison of ``values``.
+
+    The one copy of the comparisons: soundness_violations reads it on a
+    report's floats, first_unsound on a search's arrays. ``values`` holds "sum" and the bounds, as floats (one report) or as
+    arrays (one entry per state); a bound that is None or absent is
+    skipped. Each bound must be at most the sum, and lb2/lb3 at least
+    ob2/ob3, within SOUNDNESS_TOL; ``failed`` is a flag, or a flag per
+    state, and a NaN fails.
+    """
+    for name in BoundReport._BOUNDS:
+        if values.get(name) is not None:
+            yield name, "sum", np.logical_not(values[name] <= values["sum"] + SOUNDNESS_TOL)
+    for lb, ob in BoundReport._DOMINANCE:
+        yield lb, ob, np.logical_not(values[lb] >= values[ob] - SOUNDNESS_TOL)
 
 
 def _tuple_count(n: int, big_n: int, cap: int) -> int:
@@ -204,26 +213,29 @@ def enumerate_tuples(n: int, big_n: int, cap: int = DEFAULT_TUPLE_CAP) -> Iterat
 
 def _padded_kraus(
     channels: Sequence[KrausChannel] | Sequence[UnitaryOp], kind: str = "channels"
-) -> list[list[np.ndarray]]:
-    """The Kraus lists of N >= 2 channels of one dim, padded with zero operators.
+) -> np.ndarray:
+    """The Kraus operators of N >= 2 channels of one dim as one (N, n, d, d) array.
 
-    With kind "unitaries", ``channels`` holds unitaries, each its one-Kraus
-    channel {U}. Zero operators have zero skew information: sums are
-    unchanged.
+    Channel t's operators are kraus[t, :len(ops)], padded to the longest
+    list n with zero operators, which have zero skew information: sums are
+    unchanged. With kind "unitaries", ``channels`` holds unitaries, each
+    its one-Kraus channel {U}.
     """
     if len(channels) < 2:
         raise ValueError(f"need at least 2 {kind}, got {len(channels)}")
     if kind == "unitaries":
-        named = [(f"unitary {k}", (u.mat,)) for k, u in enumerate(channels)]
+        named = [(f"unitary {k}", u.mat[None]) for k, u in enumerate(channels)]
     else:
         named = [(f"channel {reprlib.repr(ch.name)}", ch.ops) for ch in channels]
-    first, dim = named[0][0], len(named[0][1][0])
+    first, dim = named[0][0], named[0][1].shape[1]
     for name, ops in named:
-        if len(ops[0]) != dim:
-            raise ValueError(f"{name} has dim {len(ops[0])}, {first} has dim {dim}")
+        if ops.shape[1] != dim:
+            raise ValueError(f"{name} has dim {ops.shape[1]}, {first} has dim {dim}")
     n = max(len(ops) for _, ops in named)
-    zero = np.zeros((dim, dim), dtype=np.complex128)
-    return [list(ops) + [zero] * (n - len(ops)) for _, ops in named]
+    kraus = np.zeros((len(named), n, dim, dim), dtype=np.complex128)
+    for t, (_, ops) in enumerate(named):
+        kraus[t, : len(ops)] = ops
+    return kraus
 
 
 def _pair_index(big_n: int) -> list[tuple[int, int]]:
@@ -291,8 +303,8 @@ def _column_sums(ops: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return acc
 
 
-def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _KTables:
-    """The K tables of padded Kraus lists, evaluated slice by slice.
+def _k_tables(cache: WeightedOperatorCache, ops: np.ndarray) -> _KTables:
+    """The K tables of the padded (N, n, d, d) Kraus array, evaluated slice by slice.
 
     The operand stack is the Kraus operators, the plus and minus pair
     operands and the n^N column sums, in that order. The first three are
@@ -301,7 +313,6 @@ def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _K
     A slice holds SEARCH_CHUNK // (S d^2) operands (at least one) for a
     cache of S states (S = 1 for a lone cache).
     """
-    ops = np.array(kraus)
     big_n, n, d = ops.shape[:3]
     pairs = _shape(big_n, n).pairs
     m = big_n * n
@@ -333,28 +344,27 @@ def _k_tables(cache: WeightedOperatorCache, kraus: list[list[np.ndarray]]) -> _K
 _Block = tuple[tuple[int, int], ...]
 
 
-@functools.lru_cache(maxsize=8)
-def _blocks(big_n: int, n: int, limit: int) -> tuple[tuple[int, _Block], ...]:
+def _blocks(big_n: int, n: int, limit: int) -> Iterator[tuple[int, _Block]]:
     """A search's blocks of at most ``limit`` >= 1 tuples, in lexicographic order.
 
     A block's tuples in C order are consecutive in the search, the first
     at the position given with the block. Channel 0 takes the identity
     only; the trailing channels are taken whole while their product fits
     ``limit``, the channel before them in runs of limit // (that product)
-    digits, and every earlier channel one digit at a time.
+    digits, and every earlier channel one digit at a time. Each block is
+    made as the search reaches it; none is kept.
     """
     sizes = (1,) + (math.factorial(n),) * (big_n - 1)  # digits per channel
     cut, tail = big_n, 1  # channels cut.. are taken whole: tail tuples
     while cut > 1 and tail * sizes[cut - 1] <= limit:
         cut, tail = cut - 1, tail * sizes[cut - 1]
-    whole = tuple((0, size) for size in sizes[cut:])
-    out, first, run = [], 0, limit // tail
+    whole = ((0, sizes[-1]),) * (big_n - cut)
+    first, run = 0, limit // tail
     for prefix in itertools.product(*map(range, sizes[: cut - 1])):
         for lo in range(0, sizes[cut - 1], run):
             hi = min(lo + run, sizes[cut - 1])
-            out.append((first, tuple((d, d + 1) for d in prefix) + ((lo, hi),) + whole))
+            yield first, tuple((d, d + 1) for d in prefix) + ((lo, hi),) + whole
             first += (hi - lo) * tail
-    return tuple(out)
 
 
 class _Grid(NamedTuple):
@@ -452,14 +462,14 @@ def tuple_bound_values(
     the block of one digit per channel.
     """
     kraus = _padded_kraus(channels)
-    n = len(kraus[0])
-    if len(perms) != len(kraus):
-        raise ValueError(f"need one permutation per channel ({len(kraus)}), got {len(perms)}")
+    big_n, n = kraus.shape[:2]
+    if len(perms) != big_n:
+        raise ValueError(f"need one permutation per channel ({big_n}), got {len(perms)}")
     for t, perm in enumerate(perms):
         if sorted(perm) != list(range(n)):
             raise ValueError(f"perms[{t}] = {perm!r} is not a permutation of range({n})")
-    digits = map(_shape(len(kraus), n).perms.tolist().index, map(list, perms))
-    grid = _grid(len(kraus), n, tuple((d, d + 1) for d in digits))
+    digits = map(_shape(big_n, n).perms.tolist().index, map(list, perms))
+    grid = _grid(big_n, n, tuple((d, d + 1) for d in digits))
     scored = _score_grid(_k_tables(cache, kraus), grid, (0, 1))
     flat = ("lb1", "ob1", "lb2", "ob2")
     values = {name: float(scored[name][0]) if name in scored else None for name in flat}
@@ -512,21 +522,21 @@ def _offer(
 
 def _search_bounds(
     spectrum: EigenDecomposition,
-    kraus: list[list[np.ndarray]],
+    kraus: np.ndarray,
     params: SkewParams,
     cap: int,
     sign_variant: int | None,
 ) -> BoundColumns:
     """Per state of ``spectrum``, the exact sum and every bound N allows.
 
-    ``kraus`` holds N equally long Kraus lists; the tuple count is checked
+    ``kraus`` is the (N, n, d, d) padded Kraus array; the tuple count is checked
     against ``cap`` before any K is evaluated. A group of at most
     SEARCH_CHUNK // (count d^2) states (at least one) shares W, T and K
     tables, scored in _blocks of at most SEARCH_CHUNK (state, tuple) rows in
     lexicographic order: the result is bit-identical to evaluating every
     tuple of every state on its own by the same formulas, ties included.
     """
-    big_n, n, dim = len(kraus), len(kraus[0]), len(kraus[0][0])
+    big_n, n, dim = kraus.shape[:3]
     if sign_variant not in (None, 0, 1):
         raise ValueError(f"sign_variant must be 0, 1 or None, got {sign_variant}")
     count = _tuple_count(n, big_n, cap)
@@ -560,14 +570,13 @@ def _search_bounds(
     )
 
 
-def _lone_report(rho: DensityMatrix, kraus: list[list[np.ndarray]], *search) -> BoundReport:
+def _lone_report(rho: DensityMatrix, kraus: np.ndarray, *search) -> BoundReport:
     """_search_bounds(spectrum, kraus, *search) of rho's spectrum as a stack of one.
 
     rho must have the operators' dim.
     """
-    dim = len(kraus[0][0])
-    if rho.dim != dim:
-        raise ValueError(f"state has dim {rho.dim}, the operators have dim {dim}")
+    if rho.dim != kraus.shape[2]:
+        raise ValueError(f"state has dim {rho.dim}, the operators have dim {kraus.shape[2]}")
     spectrum = EigenDecomposition(*(arr[None] for arr in rho.spectrum))
     return _search_bounds(spectrum, kraus, *search).report(0)
 

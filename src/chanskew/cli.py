@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -148,17 +149,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_bloch_values(argv: list[str]) -> list[str]:
-    """argv with each ``--bloch V`` written ``--bloch=V``, unless V starts with '--'.
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with each ``--opt V`` written ``--opt=V`` where V is '-' then a digit or '.'.
 
-    argparse reads a V such as '-0.5,0,0', which starts with '-' but is not
-    a plain negative number, as an option and stops with "expected one
-    argument"; attached, V is the option's value.
+    argparse reads a V such as '-1e-3' or '-0.5,0,0', which starts with '-'
+    but is not a plain negative number to it, as an option and stops with
+    "expected one argument"; attached, V is the option's value. No option
+    of the CLI has that form.
     """
     out = list(argv)
     for i in reversed(range(len(out) - 1)):
-        if out[i] == "--bloch" and not out[i + 1].startswith("--"):
-            out[i : i + 2] = [f"--bloch={out[i + 1]}"]
+        if re.fullmatch(r"--[^=]+", out[i]) and re.match(r"-[0-9.]", out[i + 1]):
+            out[i : i + 2] = [f"{out[i]}={out[i + 1]}"]
     return out
 
 
@@ -323,7 +325,7 @@ def cmd_selftest(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_bloch_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     handlers = {
         "table1": cmd_table1,
         "sweep": cmd_sweep,

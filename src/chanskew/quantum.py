@@ -95,10 +95,14 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Named channel given by Kraus operators E_i with sum_i E_i^H E_i = I."""
+    """Named channel given by Kraus operators E_i with sum_i E_i^H E_i = I.
+
+    ``ops`` is given as any sequence of square matrices and kept as their
+    read-only (n, d, d) complex128 stack, E_i at ops[i].
+    """
 
     name: str
-    ops: tuple[np.ndarray, ...]
+    ops: np.ndarray
 
     def __post_init__(self):
         if len(self.ops) < 1:
@@ -120,11 +124,11 @@ class KrausChannel:
                 f"max |sum E^H E - I| = {deviation:.3g}"
             )
         stack.flags.writeable = False
-        object.__setattr__(self, "ops", tuple(stack))
+        object.__setattr__(self, "ops", stack)
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
+        return self.ops.shape[1]
 
 
 @dataclass(frozen=True)

@@ -151,4 +151,4 @@ def skew_info_channel(rho: DensityMatrix, ch: KrausChannel, params: SkewParams) 
     if ch.dim != rho.dim:
         raise ValueError(f"channel dim {ch.dim} does not match state dim {rho.dim}")
     cache = weighted_ops(rho.spectrum, params)
-    return _in_order_sum(skew_batch(cache, np.array(ch.ops)).tolist())
+    return _in_order_sum(skew_batch(cache, ch.ops).tolist())

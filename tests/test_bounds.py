@@ -219,6 +219,13 @@ class TestChannelBounds:
         with pytest.raises(ValueError, match=match):
             tuple_bound_values(weighted_ops(rho.spectrum, TABLE_PARAMS), channels, perms)
 
+    @pytest.mark.parametrize("x", [2, -1, "1"])
+    def test_invalid_sign_variant_is_rejected(self, x):
+        rho, channels = table_config()
+        with pytest.raises(ValueError) as err:
+            channel_bound_report(rho, channels, TABLE_PARAMS, sign_variant=x)
+        assert str(err.value) == f"sign_variant must be 0, 1 or None, got {x}"
+
     def test_cap_is_checked_before_any_k_evaluation(self, monkeypatch, rng):
         batch = bounds.skew_batch
         sizes = []

@@ -72,6 +72,12 @@ class TestBlochState:
         with pytest.raises(ValueError, match="outside unit ball"):
             bloch_state((0.9, 0.9, 0.9))
 
+    @pytest.mark.parametrize("vec,shape", [((0.1, 0.2), "(2,)"), ([[0.0, 0.0, 0.5]], "(1, 3)")])
+    def test_rejects_a_vector_of_the_wrong_shape(self, vec, shape):
+        with pytest.raises(ValueError) as err:
+            bloch_state(vec)
+        assert str(err.value) == f"Bloch vector must have 3 real components, got shape {shape}"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_component(self, bad):
         with pytest.raises(ValueError, match=r"^Bloch vector must be finite, got \[0.0, "):
@@ -255,6 +261,37 @@ class TestValidateChannel:
         with pytest.raises(ValueError, match="at least one"):
             KrausChannel("empty", ())
 
+    @pytest.mark.parametrize("form", ["tuple", "list", "nested lists", "array"])
+    def test_ops_are_one_read_only_stack(self, form):
+        # any sequence of matrices becomes the (n, d, d) complex128 stack,
+        # detached from the input, that skew_info_channel and the search read
+        mats = [PAULI_1 / math.sqrt(2), PAULI_2 / math.sqrt(2)]
+        given = {
+            "tuple": tuple(mats),
+            "list": list(mats),
+            "nested lists": [m.tolist() for m in mats],
+            "array": np.array(mats),
+        }[form]
+        ch = KrausChannel("pauli", given)
+        assert isinstance(ch.ops, np.ndarray)
+        assert ch.ops.shape == (2, 2, 2) and ch.ops.dtype == np.complex128 and ch.dim == 2
+        assert not ch.ops.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ch.ops[0, 0, 0] = 1.0
+        np.testing.assert_array_equal(ch.ops, np.array(mats))
+        if form == "array":
+            given[0, 0, 0] = 7.0
+            assert ch.ops[0, 0, 0] == 0.0
+
+    def test_ops_keep_the_sequence_interface(self):
+        a, b = PAULI_1 / math.sqrt(2), PAULI_2 / math.sqrt(2)
+        ch = KrausChannel("pauli", (a, b))
+        assert len(ch.ops) == 2
+        assert [op.tolist() for op in ch.ops] == [a.tolist(), b.tolist()]
+        assert ch.ops[1].tolist() == b.tolist()
+        moved = KrausChannel("moved", ch.ops[::-1])
+        assert moved.ops.tolist() == [b.tolist(), a.tolist()]
+
 
 class TestPauliRotation:
     def test_x_rotation_matrix(self):
@@ -377,6 +414,30 @@ class TestJsonFormats:
         message = str(err.value)
         assert message.startswith("rho.json.rho[0][0]: expected a [re, im] number pair, got [[[")
         assert len(message) < 100
+
+    @pytest.mark.parametrize(
+        "parse,node,message",
+        [
+            (matrix_from_json, {"rows": []}, "matrix: expected a non-empty list of rows"),
+            (matrix_from_json, [], "matrix: expected a non-empty list of rows"),
+            (channel_from_json, [1], "channel: expected an object with 'name' and 'kraus'"),
+            (
+                channel_from_json,
+                {"name": "x", "kraus": []},
+                "channel.kraus: expected a non-empty list of matrices",
+            ),
+            (
+                density_matrix_from_json,
+                {"sigma": [[[1.0, 0.0]]]},
+                "state: expected a matrix or an object with key 'rho'",
+            ),
+        ],
+        ids=["matrix-not-a-list", "matrix-empty", "channel-not-an-object", "kraus-empty", "no-rho"],
+    )
+    def test_wire_format_shape_errors(self, parse, node, message):
+        with pytest.raises(ValueError) as err:
+            parse(node)
+        assert str(err.value) == message
 
     def test_density_matrix_json_is_validated(self):
         node = [[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.9, 0.0]]]

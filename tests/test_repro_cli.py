@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from chanskew.repro import (
     unitary_rows_to_csv,
     unitary_sweep,
 )
+from chanskew.quantum import IDENTITY_2, KrausChannel
 from chanskew.skewinfo import SkewParams
 
 PARAMS = SkewParams(0.25, 0.75, 0.25)
@@ -190,6 +192,12 @@ class TestSweeps:
     def test_remixed_kraus_is_valid_channel(self):
         ch = remixed_kraus(damping_flip_channels(0.3)[1], angle=0.7)
         assert len(ch.ops) == 2  # construction validates completeness
+
+    def test_remixed_kraus_needs_two_operators(self):
+        three = KrausChannel("three", [IDENTITY_2 / math.sqrt(3)] * 3)
+        with pytest.raises(ValueError) as err:
+            remixed_kraus(three)
+        assert str(err.value) == "remix needs exactly 2 Kraus operators, got 3"
 
 
 class TestCli:
@@ -364,6 +372,53 @@ class TestCli:
         assert capsys.readouterr().out == spaced
         assert json.loads(spaced)["report"]["sum"] > 0.0
 
+    @pytest.mark.parametrize("command", ["sweep", "unitary-sweep"])
+    def test_negative_values_in_exponent_form(self, capsys, command):
+        # argparse alone reads "-1e-3" as an option and exits 2 with
+        # "expected one argument"; "--opt V" and "--opt=V" are one option
+        assert main([command, "--steps", "3", "--theta-start", "-1e-3"]) == 0
+        spaced = capsys.readouterr().out
+        assert main([command, "--steps", "3", "--theta-start=-1e-3"]) == 0
+        assert capsys.readouterr().out == spaced
+        assert spaced.splitlines()[1].startswith("-0.001,")
+        assert main([command, "--alpha", "-1e-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: need alpha >= 0, beta >= 0, alpha + beta <= 1; got (-0.001, 1.001)\n"
+        )
+        assert captured.out == ""
+
+    def test_bounds_negative_values_in_exponent_form(self, tmp_path, capsys):
+        paths = self._write_channels(tmp_path)
+        assert main(["bounds", "--bloch", "-5e-1,0,0", *paths]) == 0
+        exponent = capsys.readouterr().out
+        assert main(["bounds", "--bloch=-0.5,0,0", *paths]) == 0
+        assert capsys.readouterr().out == exponent
+        assert main(["bounds", "--bloch", "0,0,0.5", "--gamma", "-2e-1", *paths]) == 2
+        assert capsys.readouterr().err == "error: need 0 <= gamma <= 1; got -0.2\n"
+
+    def test_bounds_bloch_vector_of_non_numbers(self, capsys):
+        assert main(["bounds", "--bloch", "a,b,c", "none.json"]) == 2
+        assert capsys.readouterr().err == "error: --bloch expects three numbers, got 'a,b,c'\n"
+
+    def test_bounds_soundness_violation_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the report is still written; each violation is one stderr line
+        report = cli.channel_bound_report
+
+        def unsound(*args, **kwargs):
+            rep = report(*args, **kwargs)
+            return dataclasses.replace(rep, lb2=rep.sum + 1.0)
+
+        monkeypatch.setattr(cli, "channel_bound_report", unsound)
+        paths = self._write_channels(tmp_path)
+        assert main(["bounds", "--bloch", "0,0.5,0", *paths]) == 1
+        captured = capsys.readouterr()
+        written = json.loads(captured.out)["report"]
+        assert written["lb2"] == written["sum"] + 1.0
+        assert captured.err == (
+            f"soundness violation: lb2 = {written['lb2']!r} exceeds sum = {written['sum']!r}\n"
+        )
+
     def test_bounds_bad_bloch_vector(self, capsys):
         assert main(["bounds", "--bloch", "1,1", "none.json"]) == 2
         assert "r1,r2,r3" in capsys.readouterr().err
@@ -391,6 +446,41 @@ class TestCli:
         assert main(["selftest", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: --seed must be at least 0; got -1\n"
+        assert captured.out == ""
+
+    def test_selftest_counts_fixed_tuple_dominance_violations(self, monkeypatch, capsys):
+        # lb2 below ob2 and lb1 above ob1: two violations in the one tuple
+        # that --trials 10 checks
+        values = {"lb1": 1.0, "ob1": 0.0, "lb2": 0.0, "ob2": 1.0, "lb3_x1": 1.0, "ob3_x1": 0.0}
+        monkeypatch.setattr(cli, "tuple_bound_values", lambda *args: values)
+        assert main(["selftest", "--trials", "10"]) == 1
+        out = capsys.readouterr().out
+        assert "selftest fixed-tuple dominance: FAIL (2 violations)\n" in out
+        assert out.endswith("selftest: FAIL\n")
+
+    def test_table1_mismatch_prints_fail_lines_and_exits_1(self, monkeypatch, capsys):
+        reference = {label: dict(row) for label, row in TABLE1_REFERENCE.items()}
+        reference["pi/3"]["lb2"] += 1e-3
+        monkeypatch.setattr(cli, "TABLE1_REFERENCE", reference)
+        assert main(["table1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line for line in lines if "FAIL" in line]
+        assert len(fails) == 1
+        assert fails[0].startswith("theta=pi/3: FAIL lb2: got 0.2088")
+        assert fails[0].endswith(f", expected {reference['pi/3']['lb2']} (tol 5e-06)")
+        assert "theta=pi/2: PASS (7/7 within 5e-06)" in lines
+        assert lines[-1] == "table1: 27/28 reference values matched"
+
+    @pytest.mark.parametrize("command", ["sweep", "unitary-sweep"])
+    def test_sweep_soundness_violation_exits_1(self, monkeypatch, capsys, command):
+        # with a tolerance of -1 every bound exceeds the sum at the first theta
+        monkeypatch.setattr(bounds, "SOUNDNESS_TOL", -1.0)
+        assert main([command, "--steps", "3"]) == 1
+        captured = capsys.readouterr()
+        kind = "channel" if command == "sweep" else "unitary"
+        head = rf"error: {kind} sweep soundness violation at theta=\S*0\.0\)?: ob1 = "
+        assert re.match(head, captured.err) and " exceeds sum = " in captured.err
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_selftest_asserts_remix_invariance(self, monkeypatch, capsys):
